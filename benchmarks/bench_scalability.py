@@ -9,10 +9,9 @@ import time
 
 from conftest import run_once
 
-from repro.detection.pipeline import DetectionPipeline
-from repro.environment import Environment
+from repro.detection.streaming import StreamingDetectionPipeline
 from repro.util.tables import render_table
-from repro.web.corpus import CorpusConfig, build_corpus
+from repro.web.corpus import CorpusConfig
 
 
 def run_scale(noise_multiplier: int):
@@ -21,16 +20,18 @@ def run_scale(noise_multiplier: int):
         noise_nonvideo_sites=20 * noise_multiplier,
         noise_apps=12 * noise_multiplier,
     )
-    env = Environment(seed=3100 + noise_multiplier)
     started = time.perf_counter()
-    corpus = build_corpus(env, config)
-    report = DetectionPipeline(env, corpus, watch_seconds=25.0).run()
+    outcome = StreamingDetectionPipeline(
+        seed=3100 + noise_multiplier, config=config, shards=1, scan_jobs=1,
+        watch_seconds=25.0,
+    ).run()
     elapsed = time.perf_counter() - started
+    report = outcome.report
     totals = [report.provider_counts(p) for p in ("peer5", "streamroot", "viblast")]
     return {
         "noise_x": noise_multiplier,
-        "sites": len(corpus.websites),
-        "apps": len(corpus.apps),
+        "sites": outcome.merged.sites_generated,
+        "apps": outcome.merged.apps_generated,
         "confirmed_sites": sum(c.confirmed_sites for c in totals),
         "potential_sites": sum(c.potential_sites for c in totals),
         "confirmed_apps": sum(c.confirmed_apps for c in totals),

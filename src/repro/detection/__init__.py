@@ -13,12 +13,10 @@ Two stages, exactly as in the paper:
    by a DTLS handshake between candidate peer pairs. Successes become
    *confirmed PDN customers*.
 
-Two drivers execute this methodology: the classic monolithic
-:class:`~repro.detection.pipeline.DetectionPipeline` over a fully
-materialised corpus, and the sharded, resumable
+One driver executes this methodology: the sharded, resumable
 :class:`~repro.detection.streaming.StreamingDetectionPipeline` over
-composable :mod:`~repro.detection.stages` — bit-identical reports,
-bounded memory (see docs/DETECTION.md).
+composable :mod:`~repro.detection.stages` — bit-identical reports at
+any shard count, bounded memory (see docs/DETECTION.md).
 """
 
 from repro.detection.signatures import (
@@ -31,7 +29,7 @@ from repro.detection.categorize import CategoryEngine, default_engines, is_video
 from repro.detection.scanner import ApkScanner, ScanResult, WebsiteScanner
 from repro.detection.traffic import PdnTrafficReport, classify_capture
 from repro.detection.dynamic import DynamicConfirmer
-from repro.detection.pipeline import DetectionPipeline, PipelineReport, combined_signatures
+from repro.detection.pipeline import PipelineReport, combined_signatures
 from repro.detection.stages import (
     AppItem,
     CategorizeAndSearch,
@@ -66,7 +64,6 @@ __all__ = [
     "PdnTrafficReport",
     "classify_capture",
     "DynamicConfirmer",
-    "DetectionPipeline",
     "PipelineReport",
     "combined_signatures",
     "Stage",

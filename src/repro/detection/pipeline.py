@@ -1,23 +1,20 @@
-"""The end-to-end detection pipeline (§III-C), producing Tables I–IV.
+"""The detection report (§III-C), from which Tables I–IV are rendered.
 
-Stages: category-filter the corpus, signature-scan the video-related
-sites and the sampled APKs, dynamically confirm every potential
-customer, and separately test the top-10K generic-WebRTC sites for
-private PDN services.
+:class:`PipelineReport` holds everything the methodology produces:
+the signature scans of the video-related sites and the sampled APKs,
+the dynamic confirmation of every potential customer, and the probe of
+the top-10K generic-WebRTC sites for private PDN services. The driver
+that fills it is :class:`~repro.detection.streaming.StreamingDetectionPipeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.detection.categorize import default_engines, is_video_related
-from repro.detection.dynamic import ConfirmationResult, DynamicConfirmer
-from repro.detection.scanner import ApkScanner, ScanResult, WebsiteScanner
+from repro.detection.dynamic import ConfirmationResult
+from repro.detection.scanner import ScanResult
 from repro.detection.signatures import GENERIC_WEBRTC_SIGNATURES, provider_signatures
-from repro.detection.source_search import SourceSearchEngine
-from repro.environment import Environment
 from repro.harness.result import content_digest
-from repro.web.corpus import Corpus
 
 
 def combined_signatures() -> list:
@@ -136,11 +133,10 @@ class PipelineReport:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Canonical JSON form, identical for monolithic and streamed runs.
+        """Canonical JSON form, identical for any shard decomposition.
 
         Only *potential* scans are kept: the streaming pipeline never
-        retains clean scans (that is its memory bound), so serializing
-        them here would make the two execution styles digest apart.
+        retains clean scans (that is its memory bound).
         """
         return {
             "virtual_total_domains": self.virtual_total_domains,
@@ -171,91 +167,3 @@ class PipelineReport:
         """Digest of the canonical form — the shard-invariance invariant."""
         return content_digest(self.to_dict())
 
-
-class DetectionPipeline:
-    """Runs the full §III-C methodology over a corpus."""
-
-    def __init__(
-        self,
-        env: Environment,
-        corpus: Corpus,
-        watch_seconds: float = 40.0,
-        probe_country: str = "US",
-        confirm: bool = True,
-    ) -> None:
-        self.env = env
-        self.corpus = corpus
-        self.watch_seconds = watch_seconds
-        self.probe_country = probe_country
-        self.confirm = confirm
-
-    def run(self) -> PipelineReport:
-        """Execute and return the outcome."""
-        report = PipelineReport(
-            virtual_total_domains=self.corpus.config.virtual_total_domains,
-            virtual_video_related=self.corpus.config.virtual_video_related,
-        )
-        self._scan_websites(report)
-        self._scan_apps(report)
-        if self.confirm:
-            self._confirm(report)
-            self._test_private(report)
-        return report
-
-    # -- stage 1: category filter + signature scan ---------------------------------
-
-    def _scan_websites(self, report: PipelineReport) -> None:
-        engines = default_engines(self.env.rand.fork("category-engines"))
-        signatures = combined_signatures()
-        scanner = WebsiteScanner(self.env.urlspace, signatures=signatures)
-        # Source-search engines (NerdyData/PublicWWW) rescue PDN customers
-        # the category filter dropped, exactly as the paper used them.
-        search_engine = SourceSearchEngine("nerdydata+publicwww")
-        for site in self.corpus.websites:
-            search_engine.index_site(self.env.urlspace, site)
-        report.source_search_hits = search_engine.search_all(signatures)
-        for site in self.corpus.websites:
-            if not is_video_related(site, engines) and site.domain not in report.source_search_hits:
-                continue
-            report.video_related_scanned += 1
-            scan = scanner.scan(site.domain)
-            report.site_scans[site.domain] = scan
-            report.extracted_keys.update(scan.extracted_keys)
-            if scan.is_potential and scan.provider() == "webrtc-generic":
-                report.generic_webrtc_sites.append(site.domain)
-
-    def _scan_apps(self, report: PipelineReport) -> None:
-        scanner = ApkScanner()
-        for app in self.corpus.apps:
-            scan = scanner.scan(app)
-            report.app_scans[app.package_name] = scan
-            report.extracted_keys.update(scan.extracted_keys)
-
-    # -- stage 2: dynamic confirmation -----------------------------------------------
-
-    def _confirm(self, report: PipelineReport) -> None:
-        confirmer = DynamicConfirmer(
-            self.env, watch_seconds=self.watch_seconds, probe_country=self.probe_country
-        )
-        for domain in report.potential_sites():
-            site = self.corpus.website(domain)
-            if site is not None:
-                report.site_confirmations[domain] = confirmer.confirm_site(site)
-        for package in report.potential_apps():
-            app = self.corpus.app(package)
-            if app is not None:
-                report.app_confirmations[package] = confirmer.confirm_app(app)
-
-    def _test_private(self, report: PipelineReport) -> None:
-        """Dynamically test the top-10K sites matching generic signatures."""
-        confirmer = DynamicConfirmer(
-            self.env, watch_seconds=self.watch_seconds, probe_country=self.probe_country
-        )
-        for domain in self.corpus.top10k_webrtc_domains:
-            site = self.corpus.website(domain)
-            if site is None:
-                continue
-            result = confirmer.confirm_site(site)
-            report.private_confirmations[domain] = result
-            if result.relay_suspected:
-                report.relay_sites.append(domain)

@@ -1,9 +1,8 @@
 """Composable streaming detection stages (§III-C, decomposed).
 
-The monolithic :class:`~repro.detection.pipeline.DetectionPipeline`
-walks a fully materialised corpus; at millions of domains neither the
-corpus nor the per-site scan results fit in memory. These stages express
-the same methodology over a *stream* of corpus specs:
+At millions of domains neither a fully materialised corpus nor the
+per-site scan results fit in memory. These stages express the
+methodology over a *stream* of corpus specs:
 
     GenerateShard -> CategorizeAndSearch -> SignatureScan   (per shard)
     ConfirmDynamic -> Report                                (driver)
@@ -111,8 +110,7 @@ class GenerateShard:
 class CategorizeAndSearch:
     """Stage 1: the category-engine filter plus source-code search.
 
-    Reproduces the monolithic pipeline's keep rule exactly: a site
-    survives when any category engine labels it video-related *or* the
+    The paper's keep rule: a site survives when any category engine labels it video-related *or* the
     source-search engines (NerdyData/PublicWWW) hit a signature in its
     indexed source. Engine labels come from stateless per-site RNG
     forks, so the verdict for a domain is identical in every shard
@@ -123,7 +121,7 @@ class CategorizeAndSearch:
     name = "categorize+search"
 
     def __init__(self, env: Environment, signatures: list[Signature]) -> None:
-        # Same fork the monolithic pipeline uses — labels are identical.
+        # A named fork of the seed: labels are identical in every shard.
         self.engines = default_engines(env.rand.fork("category-engines"))
         self.urlspace = env.urlspace
         self.signatures = signatures
@@ -321,8 +319,7 @@ class Report:
     """Stage 4: reduce a merged scan state into a :class:`PipelineReport`.
 
     Confirmation maps start empty; the driver fills them through its
-    :class:`ConfirmDynamic` stages in the monolithic pipeline's exact
-    confirmation order.
+    :class:`ConfirmDynamic` stages in a fixed confirmation order.
     """
 
     name = "report"

@@ -1,7 +1,7 @@
 """The streaming detection driver: sharded, parallel, resumable.
 
-:class:`StreamingDetectionPipeline` runs the §III-C methodology of
-:class:`~repro.detection.pipeline.DetectionPipeline` without ever
+:class:`StreamingDetectionPipeline` runs the §III-C methodology into a
+:class:`~repro.detection.pipeline.PipelineReport` without ever
 materialising the whole corpus:
 
 1. **Scan phase** — the corpus plan is split into ``--shards`` strided
@@ -19,9 +19,8 @@ materialising the whole corpus:
    ``--shards``/``--jobs`` decomposition.
 3. **Confirm phase** — dynamic confirmation candidates are all ground
    truth, so the driver rebuilds only the ground corpus in a fresh
-   seeded environment and replays the monolithic pipeline's exact
-   confirmation order (sorted potential sites, sorted potential apps,
-   top-10K probe list).
+   seeded environment and confirms in a fixed order (sorted potential
+   sites, sorted potential apps, top-10K probe list).
 
 With ``--resume DIR`` every completed shard's state is persisted as
 JSON next to a run manifest pinning its digest; a re-run loads those
@@ -407,13 +406,13 @@ class StreamingDetectionPipeline:
     # -- confirm phase ----------------------------------------------------
 
     def _confirm_phase(self, report: PipelineReport) -> Corpus:
-        """Replay the monolithic confirmation order over a ground corpus.
+        """Confirm every candidate over a freshly built ground corpus.
 
         Corpus construction draws nothing from the environment's
         sequential streams, so a fresh seeded environment holding just
-        the ground truth enters confirmation in the same state as the
-        monolithic run's — noise sites are never candidates and need not
-        exist.
+        the ground truth enters confirmation in the same state as one
+        holding the full corpus — noise sites are never candidates and
+        need not exist.
         """
         env = Environment(seed=self.seed)
         corpus = build_ground_corpus(env, self.config)

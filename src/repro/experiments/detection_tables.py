@@ -226,10 +226,9 @@ def run(
 ) -> DetectionTablesResult:
     """Stream the corpus through the pipeline, return the four tables.
 
-    The streaming driver produces reports bit-identical to the old
-    monolithic walk at any ``shards``/``scan_jobs`` decomposition, so
-    the tables (and the experiment digest) do not depend on how the
-    scan was split.
+    The streaming driver produces bit-identical reports at any
+    ``shards``/``scan_jobs`` decomposition, so the tables (and the
+    experiment digest) do not depend on how the scan was split.
     """
     pipeline = StreamingDetectionPipeline(
         seed=seed,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.free_riding import ApiKeyProbe
-from repro.detection.pipeline import DetectionPipeline
+from repro.detection.streaming import StreamingDetectionPipeline
 from repro.environment import Environment
 from repro.harness.registry import experiment
 from repro.harness.result import ResultBase
@@ -104,10 +104,12 @@ class FreeRidingWildResult(ResultBase):
 def run(seed: int = 77, config: CorpusConfig | None = None) -> FreeRidingWildResult:
     """Scan the corpus for keys, then probe each one (auth only)."""
     env = Environment(seed=seed)
+    # The full corpus attributes keys to their owners and backs the
+    # probes; the scan that extracts the keys runs in its own seeded
+    # environment, as every detection run does. Signature scan only:
+    # key extraction needs no dynamic confirmation.
     corpus = build_corpus(env, config)
-    # Signature scan only: key extraction needs no dynamic confirmation.
-    pipeline = DetectionPipeline(env, corpus, confirm=False)
-    report = pipeline.run()
+    report = StreamingDetectionPipeline(seed, config, confirm=False).run().report
 
     result = FreeRidingWildResult()
     for key in sorted(report.extracted_keys):

@@ -20,8 +20,11 @@ fire one event per delivery), so the scheduler is two-tier:
 Dispatch merges the two tiers by ``(when, seq)``, so event order — and
 therefore every seed-pinned digest — is bit-identical to a pure-heap
 loop (``tests/chaos/test_timing_wheel.py`` proves the equivalence
-property). The dispatch path is deliberately flat: ``step``/``run_until``
-pop and fire inline rather than through helper calls, and
+property). One fire kernel, :meth:`EventLoop._drain`, pops and fires
+every event: ``step``, ``run_until``, ``run_until_window`` and
+``run_all`` differ only in the deadline and budget they pass it and in
+what they do with the fired count. The kernel contains the loop, so the
+shared code costs one call frame per drain, not one per event.
 :attr:`EventLoop.pending` is an O(1) counter maintained by
 ``schedule``/``cancel``/dispatch instead of a queue scan.
 
@@ -149,7 +152,7 @@ class EventLoop:
     **Batched datagram columns.** Each slot additionally owns three
     *column rings* — ``array('d')`` of whens, ``array('q')`` of seqs,
     and a flat stride-4 object list of ``(host, port, payload, src)``
-    fields — that the network's send path appends in-band datagram
+    fields — that :meth:`_push_datagram` appends in-band datagram
     deliveries into instead of building per-datagram entry tuples
     (:meth:`set_datagram_plane`). The columns are preallocated with the
     wheel geometry and cleared in place at collect time, so the same
@@ -248,17 +251,28 @@ class EventLoop:
     def set_datagram_plane(self, drain: Any, callback: Any) -> None:
         """Install the network's batched datagram delivery plane.
 
-        ``drain(deadline, budget) -> fired`` is invoked by the dispatch
-        loops whenever the cursor's minimum is a batched 6-field row: it
+        ``drain(deadline, budget) -> fired`` is invoked by the fire
+        kernel whenever the cursor's minimum is a batched 6-field row: it
         must pop and fire consecutive due rows (merging per item against
         the heap top and honouring ``deadline``/``budget``) and return
         how many it fired. ``callback`` is the representative
         per-datagram callable — what a classic entry would have carried
         — used to synthesize legacy-shaped entries for sinks, the trace
-        hook, flushes to the heap, and :meth:`_iter_queued`.
+        hook, flushes to the heap, and :meth:`_iter_queued` (see
+        :meth:`_datagram_entry`).
         """
         self._dg_drain = drain
         self._dg_callback = callback
+
+    def _datagram_entry(self, row: tuple) -> tuple:
+        """The legacy ``(when, seq, callback, (host, port, payload, src))``
+        entry for a 6-field batched row.
+
+        The one place a column row takes the classic entry shape: the
+        trace hook, sinks, heap flushes and queue scans all see it, so
+        instrumentation needs only one tuple vocabulary.
+        """
+        return (row[0], row[1], self._dg_callback, row[2:])
 
     @property
     def wheel_occupancy(self) -> int:
@@ -277,15 +291,11 @@ class EventLoop:
             "batch_drains": self.wheel_batch_drains,
         }
 
-    def _iter_batch_rows(self, slot: int):
-        """Yield one slot's batched rows as legacy-shaped 4-tuples."""
-        objs = self._bobjs[slot]
-        it = iter(objs)
-        cb = self._dg_callback
-        for when, seq, host, port, payload, src in zip(
-            self._bwhen[slot], self._bseq[slot], it, it, it, it
-        ):
-            yield (when, seq, cb, (host, port, payload, src))
+    def _column_rows(self):
+        """Yield every column-resident batched row, as a 6-field tuple."""
+        for when, seq, objs in zip(self._bwhen, self._bseq, self._bobjs):
+            it = iter(objs)
+            yield from zip(when, seq, it, it, it, it)
 
     def _iter_queued(self):
         """Yield every queued entry across both tiers (tests/debug only).
@@ -295,16 +305,12 @@ class EventLoop:
         args)`` shape so queue scans need only one tuple vocabulary.
         """
         yield from self._heap
-        cb = self._dg_callback
         for entry in self._cursor:
-            if len(entry) == 6:
-                yield (entry[0], entry[1], cb, entry[2:])
-            else:
-                yield entry
+            yield self._datagram_entry(entry) if len(entry) == 6 else entry
         for bucket in self._wheel:
             yield from bucket
-        for slot in range(len(self._bwhen)):
-            yield from self._iter_batch_rows(slot)
+        for row in self._column_rows():
+            yield self._datagram_entry(row)
 
     # -- wheel geometry --------------------------------------------------
 
@@ -329,9 +335,8 @@ class EventLoop:
         # Batched datagram rows flush in the legacy entry shape, so a
         # reconfigured (or disabled) wheel degrades to the classic
         # per-entry heap path with order intact.
-        for slot in range(len(self._bwhen)):
-            for entry in self._iter_batch_rows(slot):
-                heappush(heap, entry)
+        for row in self._column_rows():
+            heappush(heap, self._datagram_entry(row))
         if bucket_width is None or slots <= 0:
             self._wheel = []
             self._bwhen = []
@@ -382,35 +387,52 @@ class EventLoop:
     # -- scheduling ------------------------------------------------------
 
     def _enqueue(self, entry: tuple) -> None:
-        """Route one ``(when, seq, …)`` entry to the wheel or the heap.
-
-        Kept in sync with the inline copy in
-        :meth:`repro.net.network.Network.send_datagram` (a call frame
-        per datagram is measurable at swarm scale).
-        """
+        """Route one ``(when, seq, …)`` entry to the wheel or the heap."""
         tick = int(entry[0] * self._wheel_inv)
         if 0 <= tick - self._wheel_tick < self._wheel_slots:
             self._wheel[tick % self._wheel_slots].append(entry)
             self._wheel_count += 1
             self.wheel_scheduled += 1
         else:
-            self._overflow(entry, tick)
+            self._overflow(entry)
 
-    def _overflow(self, entry: tuple, tick: int) -> None:
+    def _overflow(self, entry: tuple) -> None:
         """Heap fallback for out-of-band entries (resyncs an idle wheel)."""
         if self._wheel_slots and not self._wheel_count and not self._cursor:
             base = int(self.now * self._wheel_inv)
             if base > self._wheel_tick:
                 # The wheel sat idle while heap events advanced the
-                # clock; drag the origin forward and re-test the band.
+                # clock; drag the origin forward and re-route the entry
+                # (an origin already at ``now`` cannot recurse again).
                 self._wheel_tick = base
-                if 0 <= tick - base < self._wheel_slots:
-                    self._wheel[tick % self._wheel_slots].append(entry)
-                    self._wheel_count += 1
-                    self.wheel_scheduled += 1
-                    return
+                self._enqueue(entry)
+                return
         self.wheel_overflow += 1
         heappush(self._heap, entry)
+
+    def _push_datagram(self, when: float, host: Any, port: int, payload: bytes, src: Any) -> None:
+        """Queue one datagram delivery: the network data plane's enqueue.
+
+        In-band deliveries take three O(1) appends into the slot's
+        reused column rings, so no per-datagram entry tuple survives to
+        the old GC generations; everything else (fault impairments,
+        uplink queueing spikes, a disabled wheel) falls through to
+        :meth:`_overflow` as a classic entry carrying the plane's
+        callback. Like :meth:`schedule_fast`, the caller guarantees
+        ``when >= now`` and the delivery cannot be cancelled.
+        """
+        self._live += 1
+        tick = int(when * self._wheel_inv)
+        if 0 <= tick - self._wheel_tick < self._wheel_slots:
+            slot = tick % self._wheel_slots
+            self._bwhen[slot].append(when)
+            self._bseq[slot].append(next(self._seq))
+            self._bobjs[slot] += (host, port, payload, src)
+            self._wheel_count += 1
+            self.wheel_scheduled += 1
+            self.wheel_batched += 1
+        else:
+            self._overflow((when, next(self._seq), self._dg_callback, (host, port, payload, src)))
 
     def _push(self, handle: TimerHandle) -> None:
         """Queue ``handle`` and account for it in the live counter."""
@@ -429,17 +451,16 @@ class EventLoop:
     def schedule_fast(self, when: float, callback: Callable[..., Any], args: tuple) -> None:
         """Trusted fast path for hot callers: anonymous, not cancellable.
 
-        The network data plane schedules one delivery per datagram; this
-        skips :meth:`schedule`'s bounds check and the whole
-        :class:`TimerHandle` allocation — the queue entry itself becomes
-        a ``(when, seq, callback, args)`` 4-tuple the dispatch paths
-        special-case by length (one container allocation per event
-        instead of two, which also halves this path's GC pressure). The
-        caller guarantees ``when >= now`` and gets no handle back, so
-        the event cannot be cancelled (in-flight datagrams never are;
-        faults drop at delivery time instead). This is the timer class
-        the wheel was built for: in-band entries take an O(1) bucket
-        append instead of an O(log n) heap sift.
+        For callers that schedule one event per work item, such as the
+        sharded swarm's send pump; this skips :meth:`schedule`'s bounds
+        check and the whole :class:`TimerHandle` allocation — the queue
+        entry itself becomes a ``(when, seq, callback, args)`` 4-tuple
+        the fire kernel special-cases by length (one container
+        allocation per event instead of two, which also halves this
+        path's GC pressure). The caller guarantees ``when >= now`` and
+        gets no handle back, so the event cannot be cancelled. In-band
+        entries take an O(1) bucket append instead of an O(log n) heap
+        sift. Datagram deliveries use :meth:`_push_datagram` instead.
         """
         self._live += 1
         self._enqueue((when, next(self._seq), callback, args))
@@ -477,25 +498,6 @@ class EventLoop:
         return handle
 
     # -- execution -------------------------------------------------------
-
-    # step(), run_until() and run_all() intentionally duplicate the fire
-    # sequence (two-tier selection, anonymous-vs-handle branch,
-    # live-counter bookkeeping, pre-fire trace hook, repeating-vs-plain
-    # branch, sink notification): one event is one pass through this code, and the
-    # extra call frames of a shared helper are measurable at swarm
-    # scale. Selection invariant: _collect() is called whenever the
-    # cursor is empty and buckets are not, so the wheel's minimum entry
-    # is always cursor[-1] and the global minimum is the smaller of
-    # cursor[-1] and heap[0] by (when, seq) tuple comparison (seq is
-    # unique, so the comparison never reaches the callback element).
-    # Anonymous events — the ``(when, seq, callback, args)`` 4-tuples
-    # pushed by :meth:`schedule_fast` — take the first fire branch: no
-    # cancelled check, no handle bookkeeping. Sinks receive the raw
-    # 4-tuple for those (see ``repro.harness.profile.callback_of``).
-    # run_until() and run_all() accumulate the fired count in a local
-    # and flush it in a ``finally``, so ``events_fired`` is only
-    # guaranteed current *between* drain calls — no in-tree callback
-    # reads it mid-drain.
 
     def _collect(self) -> None:
         """Move the next nonempty bucket into the sorted cursor.
@@ -544,62 +546,33 @@ class EventLoop:
             bucket.sort(reverse=True)
             self._cursor = bucket
 
-    def step(self) -> bool:
-        """Fire the next event. Returns False when the queue is empty."""
-        heap = self._heap
-        while True:
-            cursor = self._cursor
-            if not cursor and self._wheel_count:
-                self._collect()
-                cursor = self._cursor
-            if cursor:
-                top = cursor[-1]
-                if heap and heap[0] < top:
-                    entry = heappop(heap)
-                elif len(top) == 6:
-                    # Batched datagram row: the installed drain fires
-                    # exactly one (budget=1) and keeps step() semantics.
-                    self._dg_drain(_INFINITY, 1)
-                    self._events_fired += 1
-                    return True
-                else:
-                    entry = cursor.pop()
-            elif heap:
-                entry = heappop(heap)
-            else:
-                return False
-            if len(entry) == 4:
-                self._live -= 1
-                self.now = entry[0]
-                if EventLoop._trace is not None:
-                    EventLoop._trace(self, entry)
-                entry[2](*entry[3])
-                handle: Any = entry
-            else:
-                when, _, handle = entry
-                if handle.cancelled:
-                    continue
-                self._live -= 1
-                handle._loop = None
-                self.now = when
-                if EventLoop._trace is not None:
-                    EventLoop._trace(self, handle)
-                if handle._repeating:
-                    handle._fire(self)
-                else:
-                    handle.callback(*handle.args)
-            self._events_fired += 1
-            if EventLoop._sinks:
-                for sink in EventLoop._sinks:
-                    sink.record(self, handle)
-            return True
+    def _drain(self, deadline: float, budget: int) -> int:
+        """Fire due events in ``(when, seq)`` order; the only fire loop.
 
-    def run_until(self, deadline: float) -> None:
-        """Fire all events scheduled at or before ``deadline``."""
+        Fires every event at or before ``deadline``, stopping early once
+        ``budget`` events have fired, and returns how many fired. Every
+        public runner is a thin policy over this kernel.
+
+        Selection invariant: :meth:`_collect` runs whenever the cursor
+        is empty and buckets are not, so the wheel's minimum entry is
+        always ``cursor[-1]`` and the global minimum is the smaller of
+        ``cursor[-1]`` and ``heap[0]`` by ``(when, seq)`` tuple
+        comparison (seq is unique, so the comparison never reaches the
+        callback element). A 6-field batched row at the cursor top hands
+        the whole run of due rows to the datagram plane's drain in one
+        frame, with the remaining budget. Anonymous 4-tuples (from
+        :meth:`schedule_fast`, :meth:`inject` and overflowing datagrams)
+        skip the cancelled check and handle bookkeeping, and sinks
+        receive the raw 4-tuple for them (see
+        ``repro.harness.profile.callback_of``). The fired count is
+        flushed to ``events_fired`` in a ``finally``, so the counter is
+        only guaranteed current *between* drains — no in-tree callback
+        reads it mid-drain.
+        """
         heap = self._heap
         fired = 0
         try:
-            while True:
+            while fired < budget:
                 # Re-read per iteration: _collect() replaces the cursor
                 # object, and a callback may nest another drain call.
                 cursor = self._cursor
@@ -613,11 +586,9 @@ class EventLoop:
                             break
                         entry = heappop(heap)
                     elif len(top) == 6:
-                        # Batched datagram run: one drain frame fires
-                        # every consecutive due row (per-item heap
-                        # merge inside); zero fired means the cursor
-                        # minimum lies beyond the deadline.
-                        n = self._dg_drain(deadline, _MAX_EVENTS)
+                        # Zero fired means the cursor minimum lies
+                        # beyond the deadline.
+                        n = self._dg_drain(deadline, budget - fired)
                         if n == 0:
                             break
                         fired += n
@@ -658,6 +629,15 @@ class EventLoop:
                         sink.record(self, handle)
         finally:
             self._events_fired += fired
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next event. Returns False when the queue is empty."""
+        return self._drain(_INFINITY, 1) == 1
+
+    def run_until(self, deadline: float) -> None:
+        """Fire all events scheduled at or before ``deadline``."""
+        self._drain(deadline, _MAX_EVENTS)
         self.now = max(self.now, deadline)
 
     def run(self, duration: float) -> None:
@@ -679,71 +659,10 @@ class EventLoop:
         that completes (``fired < budget``) advances ``now`` to the
         barrier exactly like :meth:`run_until`.
         """
-        heap = self._heap
         budget = _MAX_EVENTS if max_events is None else max_events
         if budget <= 0:
             return 0
-        fired = 0
-        try:
-            while True:
-                # Re-read per iteration: _collect() replaces the cursor
-                # object, and a callback may nest another drain call.
-                cursor = self._cursor
-                if not cursor and self._wheel_count:
-                    self._collect()
-                    cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
-                        if heap[0][0] > deadline:
-                            break
-                        entry = heappop(heap)
-                    elif len(top) == 6:
-                        n = self._dg_drain(deadline, budget - fired)
-                        if n == 0:
-                            break
-                        fired += n
-                        if fired >= budget:
-                            break
-                        continue
-                    else:
-                        if top[0] > deadline:
-                            break
-                        entry = cursor.pop()
-                elif heap:
-                    if heap[0][0] > deadline:
-                        break
-                    entry = heappop(heap)
-                else:
-                    break
-                if len(entry) == 4:
-                    self._live -= 1
-                    self.now = entry[0]
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, entry)
-                    entry[2](*entry[3])
-                    handle: Any = entry
-                else:
-                    when, _, handle = entry
-                    if handle.cancelled:
-                        continue
-                    self._live -= 1
-                    handle._loop = None
-                    self.now = when
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, handle)
-                    if handle._repeating:
-                        handle._fire(self)
-                    else:
-                        handle.callback(*handle.args)
-                fired += 1
-                if EventLoop._sinks:
-                    for sink in EventLoop._sinks:
-                        sink.record(self, handle)
-                if fired >= budget:
-                    break
-        finally:
-            self._events_fired += fired
+        fired = self._drain(deadline, budget)
         if fired < budget:
             self.now = max(self.now, deadline)
         return fired
@@ -775,67 +694,8 @@ class EventLoop:
         live events remain once it is reached, the loop raises without
         firing a ``max_events + 1``-th event.
         """
-        heap = self._heap
-        fired = 0
-        try:
-            while True:
-                # Re-read per iteration: _collect() replaces the cursor
-                # object, and a callback may nest another drain call.
-                cursor = self._cursor
-                if not cursor and self._wheel_count:
-                    self._collect()
-                    cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
-                        entry = heappop(heap)
-                    elif len(top) == 6:
-                        # Batched datagram run: one drain frame, exact
-                        # max_events budget (the drain stops mid-run
-                        # rather than firing a budget+1-th event).
-                        fired += self._dg_drain(_INFINITY, max_events - fired)
-                        if fired >= max_events and self._live:
-                            raise RuntimeError(
-                                f"event loop exceeded {max_events} events; "
-                                "likely a livelock"
-                            )
-                        continue
-                    else:
-                        entry = cursor.pop()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    break
-                if len(entry) == 4:
-                    self._live -= 1
-                    self.now = entry[0]
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, entry)
-                    entry[2](*entry[3])
-                    handle: Any = entry
-                else:
-                    when, _, handle = entry
-                    if handle.cancelled:
-                        continue
-                    self._live -= 1
-                    handle._loop = None
-                    self.now = when
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, handle)
-                    if handle._repeating:
-                        handle._fire(self)
-                    else:
-                        handle.callback(*handle.args)
-                fired += 1
-                if EventLoop._sinks:
-                    for sink in EventLoop._sinks:
-                        sink.record(self, handle)
-                if fired >= max_events and self._live:
-                    raise RuntimeError(
-                        f"event loop exceeded {max_events} events; likely a livelock"
-                    )
-        finally:
-            self._events_fired += fired
+        if self._drain(_INFINITY, max_events) >= max_events and self._live:
+            raise RuntimeError(f"event loop exceeded {max_events} events; likely a livelock")
 
     @property
     def pending(self) -> int:

@@ -256,19 +256,12 @@ class Network:
         #: ``tests/chaos/test_capture_reconciliation.py``).
         self.in_flight_drops = 0
         self.drops_by_reason: dict[str, int] = {}
-        #: Batched delivery: in-band datagrams append into the loop's
-        #: per-slot column rings and one drain frame fires each
-        #: contiguous due run (:meth:`EventLoop.set_datagram_plane`).
-        #: ``False`` falls back to one classic 4-tuple entry per
-        #: datagram — dispatch order is bit-identical either way
-        #: (``tests/chaos/test_batched_delivery.py`` proves it).
-        self.batch_delivery = True
         # Installed by repro.net.faults.FaultInjector; None = no chaos.
         self.faults = None
-        # Pre-bound delivery callback: send_datagram schedules one of
-        # these per datagram, and a cached bound method avoids a fresh
-        # method object per send. _rand_random is the raw C-level draw
-        # behind self.rand, for the inline jitter computation.
+        # Pre-bound delivery callback, installed once as the datagram
+        # plane's per-datagram callable (heap-resident deliveries carry
+        # it). _rand_random is the raw C-level draw behind self.rand,
+        # for the inline jitter computation.
         self._deliver_cb = self._deliver
         self._rand_random = self.rand.random
         self.loop.set_datagram_plane(self._drain_cursor, self._deliver_cb)
@@ -617,40 +610,9 @@ class Network:
         if conditions is not None:
             delay += conditions.extra_latency
             delay += faults.link_queue_delay(src_host, dest_host, len(payload), conditions)
-        # Inline of loop.schedule_fast / EventLoop._enqueue (keep the two
-        # in sync): a call frame per datagram is measurable at swarm
-        # scale. In-band deliveries — the overwhelming majority, since
-        # the wheel is sized off this network's own latency band — take
-        # three O(1) column appends into the slot's reused rings: no
-        # per-datagram entry tuple survives to the old generations, so
-        # the dominant remaining cost (GC walking a million long-lived
-        # 4-tuples) disappears. Everything else (fault impairments,
-        # uplink queueing spikes) falls through to the heap in the
-        # classic entry shape, as does the whole path when
-        # batch_delivery is off.
         self.datagrams_in_flight += 1
         loop = self.loop
-        loop._live += 1
-        when = loop.now + delay
-        tick = int(when * loop._wheel_inv)
-        if 0 <= tick - loop._wheel_tick < loop._wheel_slots:
-            slot = tick % loop._wheel_slots
-            if self.batch_delivery:
-                loop._bwhen[slot].append(when)
-                loop._bseq[slot].append(next(loop._seq))
-                loop._bobjs[slot] += (dest_host, dest_port, payload, wire_src)
-                loop.wheel_batched += 1
-            else:
-                loop._wheel[slot].append(
-                    (when, next(loop._seq),
-                     self._deliver_cb, (dest_host, dest_port, payload, wire_src)))
-            loop._wheel_count += 1
-            loop.wheel_scheduled += 1
-        else:
-            loop._overflow(
-                (when, next(loop._seq),
-                 self._deliver_cb, (dest_host, dest_port, payload, wire_src)),
-                tick)
+        loop._push_datagram(loop.now + delay, dest_host, dest_port, payload, wire_src)
 
     def _uplink_queue_delay(self, src_host: Host, size: int) -> float:
         """Serialisation + queueing on a capacity-limited uplink.
@@ -700,14 +662,14 @@ class Network:
         """Fire the cursor's leading run of batched datagram rows.
 
         Installed on the loop as its datagram plane
-        (:meth:`EventLoop.set_datagram_plane`): the dispatch loops call
-        it whenever the next due event is a 6-field batched row, and one
-        call frame here drains every *consecutive* due row — merging per
-        item against the heap top and honouring ``deadline`` and
-        ``budget``, so dispatch order and ``run_until``/``run_all``/
-        ``step`` semantics stay bit-identical to the classic per-entry
-        path. Returns the number of rows fired (0 only when the cursor
-        minimum lies beyond ``deadline``).
+        (:meth:`EventLoop.set_datagram_plane`): the loop's fire kernel
+        calls it whenever the next due event is a 6-field batched row,
+        and one call frame here drains every *consecutive* due row —
+        merging per item against the heap top and honouring ``deadline``
+        and ``budget``, so dispatch order and ``run_until``/``run_all``/
+        ``step`` semantics stay bit-identical to a pure-heap loop.
+        Returns the number of rows fired (0 only when the cursor minimum
+        lies beyond ``deadline``).
 
         Accounting (``loop._live``, ``datagrams_in_flight``,
         ``datagrams_delivered``) accumulates in locals and is flushed
@@ -723,7 +685,6 @@ class Network:
         cursor = loop._cursor
         heap = loop._heap
         faults = self.faults
-        deliver_cb = self._deliver_cb
         fired = 0
         live = 0          # loop._live decrements owed
         in_flight = 0     # datagrams_in_flight decrements owed
@@ -739,21 +700,21 @@ class Network:
                 if heap and heap[0] < top:
                     break
                 cursor.pop()
-                when, seq, host, port, payload, src = top
+                when, _, host, port, payload, src = top
                 fired += 1
                 live += 1
                 in_flight += 1
                 loop.now = when
                 # The trace hook and sinks see the legacy entry shape
-                # (same callsite fingerprint as the classic path),
-                # synthesized only when someone is watching. Both hooks
-                # are re-read per event, exactly like the classic
-                # dispatch loops, so instrumentation attached by a
+                # (same callsite fingerprint as a heap-resident
+                # delivery), synthesized only when someone is watching.
+                # Both hooks are re-read per event, exactly like the
+                # loop's fire kernel, so instrumentation attached by a
                 # handler mid-drain takes effect immediately.
                 entry = None
                 trace = EventLoop._trace
                 if trace is not None:
-                    entry = (when, seq, deliver_cb, (host, port, payload, src))
+                    entry = loop._datagram_entry(top)
                     trace(loop, entry)
                 if host is not prev_host or port != prev_port:
                     prev_host = host
@@ -786,7 +747,7 @@ class Network:
                 sinks = EventLoop._sinks
                 if sinks:
                     if entry is None:
-                        entry = (when, seq, deliver_cb, (host, port, payload, src))
+                        entry = loop._datagram_entry(top)
                     for s in sinks:
                         s.record(loop, entry)
         finally:
@@ -835,12 +796,12 @@ class ShardNetwork(Network):
     and regions map to shards as ``shard_of(i) = (i % R) % K``. That
     arithmetic replaces the routing table for swarm traffic —
     :meth:`send_indexed` resolves the destination shard with two
-    modulos, keeps the local fast path bit-identical to
-    :meth:`Network.send_datagram`'s inline wheel enqueue, and diverts
-    cross-shard sends into per-destination-shard *egress columns* (the
-    PR 9 array-of-columns record layout: parallel ``when``/``dst``/
-    ``src`` arrays, no per-datagram objects) that the coordinator
-    exchanges at window barriers. Every non-swarm facility (NATs,
+    modulos, queues local deliveries through the loop's datagram enqueue
+    (:meth:`EventLoop._push_datagram`, as :meth:`Network.send_datagram`
+    does), and diverts cross-shard sends into per-destination-shard
+    *egress columns* (parallel ``when``/``dst``/``src`` arrays, no
+    per-datagram objects) that the coordinator exchanges at window
+    barriers. Every non-swarm facility (NATs,
     captures, explicit ``send_datagram``) is untouched.
 
     Randomness discipline: swarm sends pass *pre-drawn* uniforms in
@@ -920,8 +881,8 @@ class ShardNetwork(Network):
     def send_indexed(self, src_idx: int, dst_idx: int, u_latency: float, u_fault: float) -> None:
         """Send one swarm datagram from viewer ``src_idx`` to ``dst_idx``.
 
-        Mirrors :meth:`send_datagram`'s fault checks, inline latency
-        computation and inline wheel enqueue, with three deliberate
+        Follows :meth:`send_datagram`'s fault checks, latency
+        computation and datagram enqueue, with three deliberate
         differences. (1) Randomness comes from the caller's pre-drawn
         uniforms, not ``self.rand`` — the same draws feed the same send
         at any worker count. (2) The global ``loss_rate`` trial and
@@ -984,35 +945,13 @@ class ShardNetwork(Network):
             self.egress_sent += 1
             return
 
-        # Local destination: the PR 9 inline wheel enqueue, verbatim.
-        dest_host = self._local_index[dst_idx]
-        dest_port = self.shard_port
-        wire_src = src_host._wire_endpoints.get(self.shard_port)
+        port = self.shard_port
+        wire_src = src_host._wire_endpoints.get(port)
         if wire_src is None:
-            wire_src = Endpoint(src_host.ip, self.shard_port)
-            src_host._wire_endpoints[self.shard_port] = wire_src
+            wire_src = Endpoint(src_host.ip, port)
+            src_host._wire_endpoints[port] = wire_src
         self.datagrams_in_flight += 1
-        loop = self.loop
-        loop._live += 1
-        tick = int(when * loop._wheel_inv)
-        if 0 <= tick - loop._wheel_tick < loop._wheel_slots:
-            slot = tick % loop._wheel_slots
-            if self.batch_delivery:
-                loop._bwhen[slot].append(when)
-                loop._bseq[slot].append(next(loop._seq))
-                loop._bobjs[slot] += (dest_host, dest_port, payload, wire_src)
-                loop.wheel_batched += 1
-            else:
-                loop._wheel[slot].append(
-                    (when, next(loop._seq),
-                     self._deliver_cb, (dest_host, dest_port, payload, wire_src)))
-            loop._wheel_count += 1
-            loop.wheel_scheduled += 1
-        else:
-            loop._overflow(
-                (when, next(loop._seq),
-                 self._deliver_cb, (dest_host, dest_port, payload, wire_src)),
-                tick)
+        self.loop._push_datagram(when, self._local_index[dst_idx], port, payload, wire_src)
 
     def flush_egress(self) -> dict[int, tuple[array, array, array]]:
         """Detach and return the non-empty egress columns, keyed by shard."""
@@ -1049,31 +988,9 @@ class ShardNetwork(Network):
         payload = self.shard_payload
         base = self._ip_base_int
         local = self._local_index
-        deliver_cb = self._deliver_cb
-        batching = self.batch_delivery
+        push = loop._push_datagram
         self.datagrams_in_flight += len(rows)
-        loop._live += len(rows)
         for when, dst_idx, src_idx in rows:
-            dest_host = local[dst_idx]
-            wire_src = Endpoint(int_to_ip(base + src_idx), port)
-            tick = int(when * loop._wheel_inv)
-            if 0 <= tick - loop._wheel_tick < loop._wheel_slots:
-                slot = tick % loop._wheel_slots
-                if batching:
-                    loop._bwhen[slot].append(when)
-                    loop._bseq[slot].append(next(loop._seq))
-                    loop._bobjs[slot] += (dest_host, port, payload, wire_src)
-                    loop.wheel_batched += 1
-                else:
-                    loop._wheel[slot].append(
-                        (when, next(loop._seq),
-                         deliver_cb, (dest_host, port, payload, wire_src)))
-                loop._wheel_count += 1
-                loop.wheel_scheduled += 1
-            else:
-                loop._overflow(
-                    (when, next(loop._seq),
-                     deliver_cb, (dest_host, port, payload, wire_src)),
-                    tick)
+            push(when, local[dst_idx], port, payload, Endpoint(int_to_ip(base + src_idx), port))
         self.remote_injected += len(rows)
         return len(rows)

@@ -1,16 +1,16 @@
 """Batched delivery equivalence: the columnar drain is order-invisible.
 
-The batched datagram plane (``Network.batch_delivery`` + the loop's
-per-slot column rings) is, like the timing wheel before it, a pure
-performance structure: one drain frame fires a whole run of due
+The batched datagram plane (the loop's per-slot column rings, drained
+by ``Network._drain_cursor``) is, like the timing wheel before it, a
+pure performance structure: one drain frame fires a whole run of due
 datagrams, but the selection still merges per item against the heap by
 ``(when, seq)``. These property tests mirror
-``tests/chaos/test_timing_wheel.py`` — whole chaos scenarios run three
-ways (batched, unbatched-wheel, pure heap) and must produce bit-equal
-dispatch traces and counters — plus seed-2024 digest-pin equality at
-the experiment level and boundary tests for the drain mechanics
-(step/run_until/run_all semantics, mid-run reconfigure flush, inbox
-eviction parity, counter exposure).
+``tests/chaos/test_timing_wheel.py`` — whole chaos scenarios run two
+ways (batched, and the pure-heap oracle with the wheel disabled) and
+must produce bit-equal dispatch traces and counters — plus seed-2024
+digest-pin equality at the experiment level and boundary tests for the
+drain mechanics (step/run_until/run_all semantics, mid-run reconfigure
+flush, inbox eviction parity, counter exposure).
 """
 
 import pytest
@@ -39,16 +39,14 @@ def run_scenario(seed: int, mode: str, faults: bool) -> tuple[list, dict]:
     """One full seeded chaos run; returns (dispatch trace, counters).
 
     ``mode`` picks the delivery machinery: ``batched`` (the default
-    columnar plane), ``unbatched`` (wheel on, classic 4-tuple entries),
-    or ``heap`` (wheel disabled outright — the pure-heap control).
+    columnar plane) or ``heap`` (wheel disabled outright — the
+    pure-heap control, where every delivery is a classic entry).
     """
     net = Network(rand=DeterministicRandom(seed))
     if mode == "heap":
         net.loop.configure_wheel(None, 0)
-    elif mode == "unbatched":
-        net.batch_delivery = False
     else:
-        assert mode == "batched" and net.batch_delivery
+        assert mode == "batched"
     rand = DeterministicRandom(f"batched-eq:{seed}")
     hosts = random_topology(rand.fork("topo"), net)
     if faults:
@@ -64,6 +62,7 @@ def run_scenario(seed: int, mode: str, faults: bool) -> tuple[list, dict]:
     if mode == "batched":
         assert net.loop.wheel_batched > 0  # the columns actually carried traffic
     else:
+        assert net.loop.wheel_scheduled == 0  # control run truly heap-only
         assert net.loop.wheel_batched == 0
         assert net.loop.wheel_batch_drains == 0
     counters = {
@@ -77,16 +76,15 @@ def run_scenario(seed: int, mode: str, faults: bool) -> tuple[list, dict]:
 
 
 class TestBatchedEquivalence:
-    """Same seed, same plan => same dispatch order, batched or not."""
+    """Same seed, same plan => same dispatch order, batched or pure heap."""
 
     @pytest.mark.parametrize("seed", chaos_seeds(3, "batched-delivery"))
     @pytest.mark.parametrize("faults", [False, True], ids=["calm", "chaos-mix"])
     def test_dispatch_trace_is_bit_identical(self, seed, faults):
         batched_trace, batched_counts = run_scenario(seed, "batched", faults)
-        plain_trace, plain_counts = run_scenario(seed, "unbatched", faults)
         heap_trace, heap_counts = run_scenario(seed, "heap", faults)
-        assert batched_trace == plain_trace == heap_trace
-        assert batched_counts == plain_counts == heap_counts
+        assert batched_trace == heap_trace
+        assert batched_counts == heap_counts
         assert len(batched_trace) == batched_counts["events"]
 
     @pytest.mark.parametrize("name", ["bandwidth", "chaos"])
@@ -95,18 +93,20 @@ class TestBatchedEquivalence:
         params = registry.get(name).resolve_params(quick=True)
         batched = execute_spec(name, 2024, params)
         assert batched.record.ok, batched.record.error
-        # batch_delivery is an instance attribute, so patch it off at
-        # construction time for every Network the experiment builds.
-        orig_init = Network.__init__
+        # Every Network tunes its loop's wheel at construction and on
+        # each latency-knob change: route all of those to a disabled
+        # wheel, so every delivery the experiment makes is a heap entry.
+        loops = []
 
-        def unbatched_init(self, *args, **kwargs):
-            orig_init(self, *args, **kwargs)
-            self.batch_delivery = False
+        def heap_only(self):
+            self.loop.configure_wheel(None, 0)
+            loops.append(self.loop)
 
-        monkeypatch.setattr(Network, "__init__", unbatched_init)
-        unbatched = execute_spec(name, 2024, params)
-        assert unbatched.record.ok, unbatched.record.error
-        assert batched.record.result_digest == unbatched.record.result_digest
+        monkeypatch.setattr(Network, "_tune_wheel", heap_only)
+        heap = execute_spec(name, 2024, params)
+        assert heap.record.ok, heap.record.error
+        assert loops and all(loop.wheel_batched == 0 for loop in loops)
+        assert batched.record.result_digest == heap.record.result_digest
 
 
 def one_host_net(**bind_kwargs):
@@ -199,16 +199,19 @@ class TestDrainMechanics:
         assert net.datagrams_delivered == 4
 
     def test_inbox_eviction_parity_batched_vs_unbatched(self):
-        """Per-item eviction: a batched burst evicts exactly like N singles."""
+        """Per-item eviction: a batched burst evicts exactly like N singles
+        (pure-heap deliveries, one classic entry each)."""
         inboxes = []
         for batched in (True, False):
             net = Network(rand=DeterministicRandom("evict"), jitter=0.0)
-            net.batch_delivery = batched
+            if not batched:
+                net.loop.configure_wheel(None, 0)
             a = net.add_host("a", region="US")
             b = net.add_host("b", region="US")
             sock = b.bind_udp(TRAFFIC_PORT, inbox_limit=4)
             for i in range(11):
                 net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
+            assert net.loop.wheel_batched == (11 if batched else 0)
             net.loop.run_all()
             inboxes.append(list(sock.inbox))
         assert inboxes[0] == inboxes[1]

@@ -6,19 +6,19 @@ These assert the Table I–IV counts the paper reports — the pipeline must
 
 import pytest
 
-from repro.detection.pipeline import DetectionPipeline
-from repro.environment import Environment
-from repro.web.corpus import CorpusConfig, build_corpus
+from repro.detection.streaming import StreamingDetectionPipeline
+from repro.web.corpus import CorpusConfig
 
 SMALL = CorpusConfig(noise_video_sites=10, noise_nonvideo_sites=5, noise_apps=5)
 
 
 @pytest.fixture(scope="module")
 def report_and_corpus():
-    env = Environment(seed=2024)
-    corpus = build_corpus(env, SMALL)
-    pipeline = DetectionPipeline(env, corpus, watch_seconds=30.0)
-    return pipeline.run(), corpus
+    pipeline = StreamingDetectionPipeline(
+        seed=2024, config=SMALL, shards=1, scan_jobs=1, watch_seconds=30.0
+    )
+    outcome = pipeline.run()
+    return outcome.report, outcome.corpus
 
 
 class TestTable1Counts:

@@ -56,18 +56,25 @@ class TestIndexAndSearch:
 
 
 class TestPipelineIntegration:
-    def test_miscategorised_customer_rescued(self):
+    def test_miscategorised_customer_rescued(self, monkeypatch):
         """A PDN customer whose category filter fails must still reach
         the scanner via source search (the paper's 44 rescued sites)."""
-        from repro.detection.pipeline import DetectionPipeline
-        from repro.web.corpus import CorpusConfig, build_corpus
+        from repro.detection.streaming import StreamingDetectionPipeline
+        from repro.web.corpus import CorpusBuilder, CorpusConfig
 
-        env = Environment(seed=72)
-        corpus = build_corpus(env, CorpusConfig(noise_video_sites=5, noise_nonvideo_sites=2, noise_apps=2))
-        # Sabotage categories for one confirmed customer: general sites
-        # never pass the video filter.
-        site = corpus.website("clarin.com")
-        site.category = "general"
-        report = DetectionPipeline(env, corpus, confirm=False).run()
+        # Sabotage categories for one confirmed customer as it
+        # materialises: general sites never pass the video filter.
+        materialize_site = CorpusBuilder.materialize_site
+
+        def miscategorise(self, spec, keep=True):
+            site = materialize_site(self, spec, keep=keep)
+            if site.domain == "clarin.com":
+                site.category = "general"
+            return site
+
+        monkeypatch.setattr(CorpusBuilder, "materialize_site", miscategorise)
+        config = CorpusConfig(noise_video_sites=5, noise_nonvideo_sites=2, noise_apps=2)
+        pipeline = StreamingDetectionPipeline(72, config, shards=1, scan_jobs=1, confirm=False)
+        report = pipeline.run().report
         assert "clarin.com" in report.source_search_hits
         assert "clarin.com" in report.potential_sites("peer5")

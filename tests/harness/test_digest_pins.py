@@ -24,6 +24,7 @@ from repro.harness.runner import execute_spec
 EXPECTED_DIGESTS = {
     "bandwidth": "bf6e25fb8235109c0dd3c76bc45b162a319010a4b5ae675ec4e3dd6e1332c456",
     "chaos": "9a6263c61366eb2f218951774b52abe7d3d99cc838dd0e84d2c8453f4a6061ae",
+    "free-riding": "df04fda8afc60a61e6de459b59a9f905a60626bd978922170f65e1f377c73d39",
     "scenario-matrix": "3e4c8b8a0746d3a67c85ca14fa68fd5cf342f015e35a4c1d908f0e7653c3a6eb",
 }
 
