@@ -14,9 +14,10 @@ Two stages, exactly as in the paper:
    *confirmed PDN customers*.
 
 One driver executes this methodology: the sharded, resumable
-:class:`~repro.detection.streaming.StreamingDetectionPipeline` over
-composable :mod:`~repro.detection.stages` — bit-identical reports at
-any shard count, bounded memory (see docs/DETECTION.md).
+:class:`~repro.detection.streaming.StreamingDetectionPipeline`, whose
+per-shard scan loop is :func:`~repro.detection.streaming.scan_shard` —
+bit-identical reports at any shard count, bounded memory (see
+docs/DETECTION.md).
 """
 
 from repro.detection.signatures import (
@@ -30,19 +31,9 @@ from repro.detection.scanner import ApkScanner, ScanResult, WebsiteScanner
 from repro.detection.traffic import PdnTrafficReport, classify_capture
 from repro.detection.dynamic import DynamicConfirmer
 from repro.detection.pipeline import PipelineReport, combined_signatures
-from repro.detection.stages import (
-    AppItem,
-    CategorizeAndSearch,
-    ConfirmDynamic,
-    GenerateShard,
-    Report,
-    ShardScanState,
-    SignatureScan,
-    SiteItem,
-    Stage,
-)
 from repro.detection.streaming import (
     ScanIncomplete,
+    ShardScanState,
     StreamingDetectionPipeline,
     StreamManifest,
     StreamOutcome,
@@ -66,14 +57,6 @@ __all__ = [
     "DynamicConfirmer",
     "PipelineReport",
     "combined_signatures",
-    "Stage",
-    "SiteItem",
-    "AppItem",
-    "GenerateShard",
-    "CategorizeAndSearch",
-    "SignatureScan",
-    "ConfirmDynamic",
-    "Report",
     "ShardScanState",
     "StreamingDetectionPipeline",
     "StreamManifest",

@@ -58,7 +58,6 @@ class DynamicConfirmer:
         self.watch_seconds = watch_seconds
         self.probe_country = probe_country
         self.max_links = max_links
-        self.targets_tested = 0
 
     def _infrastructure_ips(self) -> set[str]:
         ips = {self.env.stun.host.public_ip}
@@ -68,7 +67,6 @@ class DynamicConfirmer:
 
     def confirm_site(self, site: Website) -> ConfirmationResult:
         """Open up to ``max_links`` video pages with two probe viewers."""
-        self.targets_tested += 1
         video_pages = [p for p in site.pages.values() if p.has_video]
         video_pages = video_pages[: self.max_links]
         probe_a = Browser(self.env, country=self.probe_country)
@@ -97,7 +95,6 @@ class DynamicConfirmer:
 
     def confirm_app(self, app: AndroidApp) -> ConfirmationResult:
         """Run the app's latest APK in two probe devices."""
-        self.targets_tested += 1
         probe_a = Browser(self.env, country=self.probe_country)
         probe_b = Browser(self.env, country=self.probe_country)
         capture = TrafficCapture(

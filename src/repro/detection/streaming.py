@@ -5,10 +5,10 @@
 materialising the whole corpus:
 
 1. **Scan phase** — the corpus plan is split into ``--shards`` strided
-   :class:`~repro.web.corpus.CorpusShard` slices; each shard streams
-   ``GenerateShard → CategorizeAndSearch → SignatureScan`` in its own
-   :class:`~repro.environment.Environment` built from the experiment
-   seed, optionally across a process pool
+   :class:`~repro.web.corpus.CorpusShard` slices; :func:`scan_shard`
+   runs the category filter, source search and signature scan over one
+   shard in its own :class:`~repro.environment.Environment` built from
+   the experiment seed, optionally across a process pool
    (:func:`~repro.harness.runner.pool_map`). Sites materialise one at a
    time and are released after scanning, so a shard's resident set is
    the ground-truth population plus one site — independent of corpus
@@ -43,26 +43,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
+from repro.detection.categorize import default_engines, is_video_related
+from repro.detection.dynamic import DynamicConfirmer
 from repro.detection.pipeline import PipelineReport, combined_signatures
-from repro.detection.stages import (
-    AppItem,
-    CategorizeAndSearch,
-    ConfirmDynamic,
-    GenerateShard,
-    Report,
-    ShardScanState,
-    SignatureScan,
-    SiteItem,
-    run_stages,
-)
+from repro.detection.scanner import ApkScanner, ScanResult, WebsiteScanner
+from repro.detection.source_search import SourceSearchEngine
 from repro.environment import Environment
 from repro.harness.result import content_digest, to_jsonable
 from repro.harness.runner import pool_map
 from repro.util.errors import ConfigurationError
-from repro.web.corpus import Corpus, CorpusBuilder, CorpusConfig, CorpusPlan, build_ground_corpus
+from repro.web.corpus import Corpus, CorpusBuilder, CorpusConfig, build_ground_corpus
 
 MANIFEST_FILE = "manifest.json"
 MANIFEST_VERSION = 2
@@ -85,6 +77,68 @@ class ScanIncomplete(RuntimeError):
         self.run_dir = run_dir
 
 
+@dataclass
+class ShardScanState:
+    """One shard's scan-phase output.
+
+    Picklable (ships back from pool workers), JSON-round-trippable
+    (persisted per shard for ``--resume``), and digestable — the digest
+    recorded in the run manifest is ``content_digest(self.to_dict())``.
+    """
+
+    shard_index: int
+    shard_count: int
+    sites_generated: int = 0
+    apps_generated: int = 0
+    sites_dropped: int = 0
+    video_related_scanned: int = 0
+    pages_fetched: int = 0
+    site_scans: dict[str, ScanResult] = field(default_factory=dict)
+    app_scans: dict[str, ScanResult] = field(default_factory=dict)
+    extracted_keys: set[str] = field(default_factory=set)
+    source_search_hits: set[str] = field(default_factory=set)
+    generic_webrtc_sites: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        """Canonical JSON form: sorted keys, sorted sets, stable order."""
+        return {
+            "shard_index": self.shard_index,
+            "shard_count": self.shard_count,
+            "sites_generated": self.sites_generated,
+            "apps_generated": self.apps_generated,
+            "sites_dropped": self.sites_dropped,
+            "video_related_scanned": self.video_related_scanned,
+            "pages_fetched": self.pages_fetched,
+            "site_scans": {d: s.to_dict() for d, s in sorted(self.site_scans.items())},
+            "app_scans": {p: s.to_dict() for p, s in sorted(self.app_scans.items())},
+            "extracted_keys": sorted(self.extracted_keys),
+            "source_search_hits": sorted(self.source_search_hits),
+            "generic_webrtc_sites": sorted(self.generic_webrtc_sites),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ShardScanState":
+        """Rebuild a persisted shard state (the ``--resume`` load path)."""
+        return cls(
+            shard_index=data["shard_index"],
+            shard_count=data["shard_count"],
+            sites_generated=data["sites_generated"],
+            apps_generated=data["apps_generated"],
+            sites_dropped=data["sites_dropped"],
+            video_related_scanned=data["video_related_scanned"],
+            pages_fetched=data["pages_fetched"],
+            site_scans={d: ScanResult.from_dict(s) for d, s in data["site_scans"].items()},
+            app_scans={p: ScanResult.from_dict(s) for p, s in data["app_scans"].items()},
+            extracted_keys=set(data["extracted_keys"]),
+            source_search_hits=set(data["source_search_hits"]),
+            generic_webrtc_sites=list(data["generic_webrtc_sites"]),
+        )
+
+    def content_digest(self) -> str:
+        """The digest the run manifest pins for this shard."""
+        return content_digest(self.to_dict())
+
+
 def scan_shard(task: tuple) -> ShardScanState:
     """Scan one corpus shard; the process-pool unit of work.
 
@@ -93,17 +147,54 @@ def scan_shard(task: tuple) -> ShardScanState:
     count)`` — workers share no state, and because every spec
     materialises from named RNG forks of the same seed, the state this
     returns is a pure function of the task tuple.
+
+    Each site is materialised, indexed by the source-search engines,
+    and kept when any category engine labels it video-related *or* the
+    search hit a signature. Kept sites are crawled and signature-matched;
+    then the site leaves the URL space again. Apps have no category
+    filter and go straight to the APK scanner. Only *potential* scans
+    (at least one signature fired) are retained — clean scans feed the
+    counters and are dropped, which bounds a shard's memory to the
+    ground-truth population regardless of corpus size.
     """
     seed, config, index, count = task
     env = Environment(seed=seed)
     builder = CorpusBuilder(env, config=config, with_videos=False)
     shard = builder.plan.shard(index, count)
     signatures = combined_signatures()
-    generate = GenerateShard(builder)
-    categorize = CategorizeAndSearch(env, signatures)
-    scan = SignatureScan(env.urlspace, signatures)
-    run_stages(chain(shard.site_specs(), shard.app_specs()), generate, [categorize, scan])
-    return ShardScanState.collect(shard, generate, categorize, scan)
+    # A named fork of the seed: engine labels are identical in every shard.
+    engines = default_engines(env.rand.fork("category-engines"))
+    search = SourceSearchEngine("nerdydata+publicwww")
+    site_scanner = WebsiteScanner(env.urlspace, signatures=signatures)
+    apk_scanner = ApkScanner()
+    state = ShardScanState(shard_index=index, shard_count=count)
+    for spec in shard.site_specs():
+        state.sites_generated += 1
+        site = builder.materialize_site(spec, keep=False)
+        hit = search.match_site(env.urlspace, site, signatures)
+        if hit:
+            state.source_search_hits.add(spec.domain)
+        if is_video_related(site, engines) or hit:
+            state.video_related_scanned += 1
+            scan = site_scanner.scan(spec.domain)
+            state.extracted_keys.update(scan.extracted_keys)
+            if scan.is_potential:
+                state.site_scans[spec.domain] = scan
+                if scan.provider() == "webrtc-generic":
+                    state.generic_webrtc_sites.append(spec.domain)
+        else:
+            state.sites_dropped += 1
+        builder.release_site(spec)
+    for spec in shard.app_specs():
+        state.apps_generated += 1
+        app = builder.materialize_app(spec, keep=False)
+        scan = apk_scanner.scan(app)
+        state.extracted_keys.update(scan.extracted_keys)
+        if scan.is_potential:
+            state.app_scans[app.package_name] = scan
+    state.pages_fetched = site_scanner.pages_fetched
+    state.generic_webrtc_sites.sort()
+    return state
 
 
 def merge_shard_states(states: list[ShardScanState]) -> ShardScanState:
@@ -328,7 +419,7 @@ class StreamOutcome:
 
 
 class StreamingDetectionPipeline:
-    """Composes the streaming stages over a sharded corpus plan."""
+    """Scans a sharded corpus plan, merges the shards, then confirms."""
 
     def __init__(
         self,
@@ -351,7 +442,6 @@ class StreamingDetectionPipeline:
         self.probe_country = probe_country
         self.confirm = confirm
         self.max_shards = max_shards
-        self.plan = CorpusPlan(self.config)
 
     def _config_digest(self) -> str:
         return content_digest(to_jsonable(self.config))
@@ -360,7 +450,17 @@ class StreamingDetectionPipeline:
         """Execute scan + merge + confirm; raises ScanIncomplete if bounded."""
         states, executed, loaded = self._scan_phase()
         merged = merge_shard_states(states)
-        report = Report(self.config).process(merged)[0]
+        # Confirmation maps start empty; _confirm_phase fills them.
+        report = PipelineReport(
+            virtual_total_domains=self.config.virtual_total_domains,
+            virtual_video_related=self.config.virtual_video_related,
+            video_related_scanned=merged.video_related_scanned,
+            site_scans=dict(merged.site_scans),
+            app_scans=dict(merged.app_scans),
+            extracted_keys=set(merged.extracted_keys),
+            source_search_hits=set(merged.source_search_hits),
+            generic_webrtc_sites=list(merged.generic_webrtc_sites),
+        )
         corpus = None
         if self.confirm:
             corpus = self._confirm_phase(report)
@@ -416,27 +516,22 @@ class StreamingDetectionPipeline:
         """
         env = Environment(seed=self.seed)
         corpus = build_ground_corpus(env, self.config)
-        confirmer = ConfirmDynamic(
+        confirmer = DynamicConfirmer(
             env, watch_seconds=self.watch_seconds, probe_country=self.probe_country
         )
         for domain in report.potential_sites():
             site = corpus.website(domain)
             if site is not None:
-                spec = self.plan.site_spec_for(domain)
-                report.site_confirmations[domain] = confirmer.process(SiteItem(spec, site))[0]
+                report.site_confirmations[domain] = confirmer.confirm_site(site)
         for package in report.potential_apps():
             app = corpus.app(package)
             if app is not None:
-                spec = self.plan.app_spec_for(package)
-                report.app_confirmations[package] = confirmer.process(AppItem(spec, app))[0]
-        prober = ConfirmDynamic(
-            env, watch_seconds=self.watch_seconds, probe_country=self.probe_country
-        )
+                report.app_confirmations[package] = confirmer.confirm_app(app)
         for domain in corpus.top10k_webrtc_domains:
             site = corpus.website(domain)
             if site is None:
                 continue
-            result = prober.process(SiteItem(self.plan.site_spec_for(domain), site))[0]
+            result = confirmer.confirm_site(site)
             report.private_confirmations[domain] = result
             if result.relay_suspected:
                 report.relay_sites.append(domain)

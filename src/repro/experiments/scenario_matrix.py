@@ -90,10 +90,6 @@ class ScenarioMatrixResult(ResultBase):
             },
         }
 
-    def contained_everywhere(self) -> bool:
-        """True when no cell let pollution reach a benign screen."""
-        return all(cell.contained for cell in self.cells)
-
     def render(self) -> str:
         """Render the matrix as one row per scenario × fault cell."""
         rows = []

@@ -55,6 +55,15 @@ class EventCounter:
         """Observe one fired event."""
         self.total += 1
 
+    def absorb_remote(self, key: str, report: dict) -> None:
+        """Add the events a shard worker process fired out of sight.
+
+        ``report`` is the worker's ``ShardWorker.final_report()``; its
+        loop ran in another address space, where this class-wide sink
+        could not observe it.
+        """
+        self.total += report["events_fired"]
+
 
 class WheelStats:
     """Timing-wheel counters sampled per fired event, across every loop.
@@ -170,9 +179,10 @@ class SiteProfiler(EventCounter):
         self.sites[site] = self.sites.get(site, 0) + 1
         self.wheel.record(loop, handle)
 
-    def absorb_remote(self, key: str, wheel: dict) -> None:
-        """Fold a shard worker's wheel snapshot into :attr:`wheel`."""
-        self.wheel.absorb_remote(key, wheel)
+    def absorb_remote(self, key: str, report: dict) -> None:
+        """Count a shard worker's events and fold its wheel snapshot."""
+        super().absorb_remote(key, report)
+        self.wheel.absorb_remote(key, report["wheel"])
 
     def top(self, n: int = 15) -> list[tuple[str, int]]:
         """The ``n`` busiest callback sites, busiest first."""

@@ -17,7 +17,7 @@ evicted ones included, so it stays O(1) at swarm scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.net.addresses import Endpoint
 
@@ -43,7 +43,7 @@ class CapturedPacket:
 
 
 class TrafficCapture:
-    """A packet log with simple filtering and an optional ring bound.
+    """A packet log with an optional ring bound.
 
     A capture may be *scoped* to a set of host IPs (a container's
     interface) via ``interface_ips``; unscoped captures see everything
@@ -108,26 +108,6 @@ class TrafficCapture:
         self._taps.clear()
 
     # -- queries ---------------------------------------------------------
-
-    def filter(self, predicate: Callable[[CapturedPacket], bool]) -> list[CapturedPacket]:
-        """Filter."""
-        return [p for p in self.packets if predicate(p)]
-
-    def between(self, a: Endpoint | str, b: Endpoint | str) -> list[CapturedPacket]:
-        """Packets in either direction between two endpoints (or bare IPs)."""
-
-        def matches(ep: Endpoint, spec: Endpoint | str) -> bool:
-            """Matches."""
-            if isinstance(spec, str):
-                return ep.ip == spec
-            return ep == spec
-
-        return [
-            p
-            for p in self.packets
-            if (matches(p.src, a) and matches(p.dst, b))
-            or (matches(p.src, b) and matches(p.dst, a))
-        ]
 
     def total_bytes(self) -> int:
         """Payload bytes recorded over the capture's lifetime (O(1)).

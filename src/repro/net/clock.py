@@ -561,7 +561,7 @@ class EventLoop:
         callback element). A 6-field batched row at the cursor top hands
         the whole run of due rows to the datagram plane's drain in one
         frame, with the remaining budget. Anonymous 4-tuples (from
-        :meth:`schedule_fast`, :meth:`inject` and overflowing datagrams)
+        :meth:`schedule_fast` and overflowing datagrams)
         skip the cancelled check and handle bookkeeping, and sinks
         receive the raw 4-tuple for them (see
         ``repro.harness.profile.callback_of``). The fired count is
@@ -654,10 +654,10 @@ class EventLoop:
         shards) and a budget that stops dispatch *mid-window* without
         firing a budget+1-th event. When the budget interrupts the
         window, ``now`` is **not** advanced to ``deadline`` — due events
-        may remain at or before it, and a later :meth:`inject` of a
-        remote arrival inside the window must still be legal. A window
-        that completes (``fired < budget``) advances ``now`` to the
-        barrier exactly like :meth:`run_until`.
+        may remain at or before it, and a later remote arrival inside
+        the window (:meth:`~repro.net.network.ShardNetwork.inject_batches`)
+        must still be legal. A window that completes (``fired < budget``)
+        advances ``now`` to the barrier exactly like :meth:`run_until`.
         """
         budget = _MAX_EVENTS if max_events is None else max_events
         if budget <= 0:
@@ -666,26 +666,6 @@ class EventLoop:
         if fired < budget:
             self.now = max(self.now, deadline)
         return fired
-
-    def inject(self, when: float, callback: Callable[..., Any], args: tuple) -> None:
-        """Enqueue a remote arrival under the window protocol.
-
-        The cross-shard merge seam: the shard coordinator hands each
-        remote datagram to the destination loop through here, and the
-        entry joins the queue with a *fresh local* sequence number —
-        dispatch therefore orders it by the same ``(when, seq)``
-        comparison as every local event (seq re-keying, see
-        ``docs/SHARDING.md``). ``when < now`` means a remote event
-        arrived inside a window the loop already executed: the
-        conservative protocol guarantees this never happens, so it is a
-        hard error rather than a silent reordering.
-        """
-        if when < self.now:
-            raise ConfigurationError(
-                f"cannot inject at {when} < now {self.now} (window protocol violated)"
-            )
-        self._live += 1
-        self._enqueue((when, next(self._seq), callback, args))
 
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Drain the queue completely (bounded to catch runaway loops).

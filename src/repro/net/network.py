@@ -10,9 +10,9 @@ region-aware latency model.
 
 This is the simulator's data plane and must stay fast and
 memory-bounded at million-datagram scale: wire capture objects are only
-built when a capture is registered, per-region-pair base latencies are
-cached, per-packet classes use ``__slots__``, and socket inboxes are
-ring buffers (see ``docs/PERFORMANCE.md``).
+built when a capture is registered, per-packet classes use
+``__slots__``, and socket inboxes are ring buffers (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -218,12 +218,8 @@ class Network:
     ) -> None:
         self.loop = loop or EventLoop()
         self.rand = (rand or DeterministicRandom(0)).fork("network")
-        # (src_region, dst_region) -> base one-way latency; cleared when
-        # either latency knob is assigned (see the property setters).
-        # The hot send path bypasses this cache (a direct region compare
-        # is cheaper than the key tuple it would allocate) and records
-        # the band it observed in _saw_cross_region instead.
-        self._latency_base: dict[tuple[str | None, str | None], float] = {}
+        # Set by the send paths once any datagram crosses regions, so
+        # _tune_wheel keeps sizing the wheel for the cross-region band.
         self._saw_cross_region = False
         # Direct assignment (not the property setters): the setters
         # retune the loop's timing wheel, which wants every latency knob
@@ -238,10 +234,9 @@ class Network:
         self._next_public_ip = ip_to_int("5.0.0.1")
         self._next_nat_subnet = itertools.count(1)
         self.datagrams_sent = 0
-        #: Auto-retune state: enabled by default; ``_retune_mark`` holds
-        #: the (scheduled, overflow) counters at the previous check so
-        #: the overflow share is computed per window, not cumulatively.
-        self.auto_retune = True
+        #: Auto-retune state: ``_retune_mark`` holds the (scheduled,
+        #: overflow) counters at the previous check so the overflow
+        #: share is computed per window, not cumulatively.
         self._retune_warmed = False
         self._retune_mark = (0, 0)
         self.datagrams_dropped = 0
@@ -270,8 +265,8 @@ class Network:
     # -- latency model knobs ---------------------------------------------
 
     # Both knobs are settable mid-run (experiments tune them after
-    # construction), so the setters invalidate the region-pair cache and
-    # re-derive the timing wheel's bucket geometry from the new band.
+    # construction), so the setters re-derive the timing wheel's bucket
+    # geometry from the new band.
 
     @property
     def base_latency(self) -> float:
@@ -281,7 +276,6 @@ class Network:
     @base_latency.setter
     def base_latency(self, value: float) -> None:
         self._base_latency = value
-        self._latency_base.clear()
         self._tune_wheel()
 
     @property
@@ -292,44 +286,25 @@ class Network:
     @cross_region_latency.setter
     def cross_region_latency(self, value: float) -> None:
         self._cross_region_latency = value
-        self._latency_base.clear()
         self._tune_wheel()
 
     def _tune_wheel(self) -> None:
         """Size the loop's timing wheel from the latency model's band.
 
         The in-flight-datagram delay band runs from the 1 ms floor up to
-        the largest per-region base latency plus folded jitter. Observed
-        traffic narrows it: once any datagram has been scheduled, the
-        band covers only the latency classes actually used — the
-        region-pair cache (filled by :meth:`latency_between`) and the
-        send path's cross-region flag — so an all-same-region swarm gets
-        same-region-sized buckets. Before any traffic the knobs bound
-        the band. Reconfiguring mid-run is order-safe (see
-        :meth:`~repro.net.clock.EventLoop.configure_wheel`).
+        the largest base latency plus folded jitter. Observed traffic
+        narrows it: once datagrams have been sent and none crossed
+        regions, the band is the same-region base alone, so an
+        all-same-region swarm gets ~5x finer buckets than the
+        cross-region worst case under the default knobs. Before any
+        traffic the knobs bound the band. Reconfiguring mid-run is
+        order-safe (see :meth:`~repro.net.clock.EventLoop.configure_wheel`).
         """
-        observed = self._latency_base
-        if self._saw_cross_region:
-            band = max(self._base_latency, self._cross_region_latency)
-        elif self.datagrams_sent or observed:
-            band = max(self._base_latency,
-                       max(observed.values()) if observed else 0.0)
+        if self.datagrams_sent and not self._saw_cross_region:
+            band = self._base_latency
         else:
             band = max(self._base_latency, self._cross_region_latency)
         self.loop.configure_wheel_for_band(band + self.jitter)
-
-    def retune_wheel(self) -> None:
-        """Re-derive the wheel geometry from the observed latency band.
-
-        Call after warm-up traffic to tighten the bucket width to the
-        delay band this topology actually uses (an all-same-region
-        swarm gets ~6x finer buckets than the cross-region worst case
-        the constructor assumes). The send path also invokes this
-        automatically at deterministic datagram-count boundaries — see
-        :data:`AUTO_RETUNE_CHECK_INTERVAL` / :meth:`_auto_retune_check`;
-        set :attr:`auto_retune` to ``False`` to manage geometry manually.
-        """
-        self._tune_wheel()
 
     def _auto_retune_check(self) -> None:
         """Periodic wheel-health check, hit every ``AUTO_RETUNE_CHECK_INTERVAL`` sends.
@@ -345,7 +320,7 @@ class Network:
         wheel (``configure_wheel(None, 0)``) is left alone.
         """
         loop = self.loop
-        if not self.auto_retune or not loop._wheel_slots:
+        if not loop._wheel_slots:
             return
         scheduled, overflow = loop.wheel_scheduled, loop.wheel_overflow
         window_scheduled = scheduled - self._retune_mark[0]
@@ -451,26 +426,6 @@ class Network:
 
     # -- data plane ------------------------------------------------------
 
-    def latency_between(self, src: Host, dst_region: str | None) -> float:
-        """One-way latency from ``src`` to a destination region."""
-        src_region = src.region
-        key = (src_region, dst_region)
-        cross = (src_region != dst_region
-                 and src_region is not None and dst_region is not None)
-        if cross:
-            # Mirror of the send path's flag: a network whose only
-            # cross-region traffic flows through this slow path must
-            # still retune the wheel to the wide band (cache hits
-            # included — the pair cache is cleared on knob changes,
-            # and the band test reads the flag, not the cache).
-            self._saw_cross_region = True
-        base = self._latency_base.get(key)
-        if base is None:
-            base = self._cross_region_latency if cross else self._base_latency
-            self._latency_base[key] = base
-        latency = base + self.rand.uniform(-self.jitter, self.jitter)
-        return latency if latency > 0.001 else 0.001
-
     def _drop(self, reason: str) -> None:
         """Count one dropped datagram, under exactly one reason.
 
@@ -481,26 +436,14 @@ class Network:
         self.datagrams_dropped += 1
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
-    def _resolve_destination(
-        self, dst: Endpoint, wire_src: Endpoint
+    def _resolve_nat(
+        self, nat: NatBox, dst: Endpoint, wire_src: Endpoint
     ) -> tuple[Host | None, int, str | None]:
-        """Route a wire destination to ``(host, port, drop_reason)``.
+        """Route a NAT-bound wire destination to ``(host, port, drop_reason)``.
 
         Read-only (NAT ``inbound`` never mutates), so it is safe to call
         before the loss decision without perturbing the seeded stream.
         """
-        target = self._routable.get(dst.ip)
-        if target is None:
-            # Unroutable destination (e.g. a bogon candidate): black-hole.
-            return None, 0, "unroutable"
-        if isinstance(target, NatBox):
-            return self._resolve_nat(target, dst, wire_src)
-        return target, dst.port, None
-
-    def _resolve_nat(
-        self, nat: NatBox, dst: Endpoint, wire_src: Endpoint
-    ) -> tuple[Host | None, int, str | None]:
-        """The NAT half of :meth:`_resolve_destination`."""
         internal = nat.inbound(dst.port, wire_src)
         if internal is None:
             return None, 0, "nat_filtered"
@@ -536,11 +479,13 @@ class Network:
                     wire_src = Endpoint(src_host.ip, src_port)
                     src_host._wire_endpoints[src_port] = wire_src
 
-        # Inline of _resolve_destination: public-host targets (the vast
-        # majority at swarm scale) resolve without a helper call.
+        # Routing: public-host targets (the vast majority at swarm
+        # scale) resolve without a helper call; only NAT targets take
+        # _resolve_nat.
         route_fail: str | None = None
         target = self._routable.get(dst.ip)
         if target is None:
+            # Unroutable destination (e.g. a bogon candidate): black-hole.
             dest_host: Host | None = None
             dest_port = 0
             route_fail = "unroutable"
@@ -586,10 +531,10 @@ class Network:
             self._drop(route_fail)
             return
 
-        # Inline of latency_between's region rule, allocation-free: no
-        # (src, dst) key tuple is built per send (every container
-        # allocated here advances the gen-0 GC counter), and the region
-        # strings are shared objects so == takes the pointer fast path.
+        # The region rule, allocation-free: no (src, dst) key tuple is
+        # built per send (every container allocated here advances the
+        # gen-0 GC counter), and the region strings are shared objects
+        # so == takes the pointer fast path.
         # The jitter expression is bit-exact with uniform(-j, j) — it is
         # random.Random.uniform's ``a + (b - a) * random()`` with the
         # constants folded — and consumes exactly one draw, so replays
@@ -971,7 +916,8 @@ class ShardNetwork(Network):
         order the wheel and heap share also totally orders remote
         arrivals. The window protocol guarantees every ``when`` is at or
         past the barrier the loop just reached — validated once against
-        the earliest row, as :meth:`EventLoop.inject` would per row.
+        the earliest row. ``when == now`` is legal: an arrival exactly
+        on the barrier fires in the next window.
         """
         rows: list[tuple[float, int, int]] = []
         for when_col, dst_col, src_col in batches:

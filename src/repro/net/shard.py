@@ -564,8 +564,8 @@ def _merge_reports(
     )
 
 
-def _publish_wheel_stats(reports: list[dict]) -> None:
-    """Feed worker wheel snapshots to any absorbing profile sinks.
+def _publish_worker_reports(reports: list[dict]) -> None:
+    """Feed worker reports (event counts, wheel snapshots) to absorbing sinks.
 
     Only the multi-process coordinator calls this: inline shards live in
     the observing process, where class-wide sinks already record every
@@ -580,7 +580,7 @@ def _publish_wheel_stats(reports: list[dict]) -> None:
         for sink in sinks:
             absorb = getattr(sink, "absorb_remote", None)
             if absorb is not None:
-                absorb(key, report["wheel"])
+                absorb(key, report)
 
 
 def _run_inline(
@@ -727,7 +727,7 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=5)
-    _publish_wheel_stats(reports)
+    _publish_worker_reports(reports)
     return _merge_reports(workload, workers, "process", windows, reports)
 
 

@@ -16,9 +16,6 @@ measurement:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.analyzer import PdnAnalyzer, PeerContainer
 from repro.core.testbed import TestBed, build_test_bed
 from repro.environment import Environment
 from repro.pdn.auth import AuthPolicyKind
@@ -43,25 +40,6 @@ def build_ecdn_test_bed(env: Environment, **kwargs) -> TestBed:
     bed = build_test_bed(env, MSECDN, domain="stream.contoso.example", **kwargs)
     bed.site.landing.embed.credential_in_page = False
     return bed
-
-
-@dataclass
-class SilentSimulator:
-    """The eCDN test harness: headless peers that only move data.
-
-    The paper ran its content-integrity tests against this simulator;
-    here it is a thin arrangement of analyzer peer containers with
-    playback disabled from the UI's point of view (the players still
-    drive segment fetches — that is what "silent" peers do)."""
-
-    analyzer: PdnAnalyzer
-    bed: TestBed
-
-    def launch_peer(self, name: str, proxy=None) -> PeerContainer:
-        """Launch peer."""
-        peer = self.analyzer.create_peer(name=name, proxy=proxy)
-        peer.watch_test_stream(self.bed)
-        return peer
 
 
 def tenant_id_exposed(bed: TestBed, html: str) -> bool:

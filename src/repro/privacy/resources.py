@@ -161,14 +161,6 @@ class ResourceMonitor:
 
     # -- summaries -----------------------------------------------------------
 
-    def mean_cpu(self) -> float:
-        """Mean cpu."""
-        return self.cpu.mean()
-
-    def mean_memory(self) -> float:
-        """Mean memory."""
-        return self.memory.mean()
-
     def total_net_in(self) -> float:
         """Total net in."""
         return self.net_in.total()

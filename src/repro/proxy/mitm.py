@@ -37,7 +37,6 @@ class MitmProxy:
         self.name = name
         self._header_overrides: dict[str, str] = {}
         self._host_redirects: dict[str, str] = {}
-        self._request_hooks: list[Callable[[HttpRequest], None]] = []
         self._response_hooks: list[Callable[[HttpRequest, HttpResponse], HttpResponse]] = []
         self.log: list[ProxiedExchange] = []
 
@@ -57,10 +56,6 @@ class MitmProxy:
         """Reroute all requests for one host to another (fake CDN hop)."""
         self._host_redirects[from_host.lower()] = to_host
 
-    def add_request_hook(self, hook: Callable[[HttpRequest], None]) -> None:
-        """Add request hook."""
-        self._request_hooks.append(hook)
-
     def add_response_hook(
         self, hook: Callable[[HttpRequest, HttpResponse], HttpResponse]
     ) -> None:
@@ -78,8 +73,6 @@ class MitmProxy:
             request.url = f"{scheme}://{redirect_target}{path}"
         for name, value in self._header_overrides.items():
             request.headers[name] = value
-        for hook in self._request_hooks:
-            hook(request)
         response = urlspace.dispatch(request)
         for hook in self._response_hooks:
             response = hook(request, response)

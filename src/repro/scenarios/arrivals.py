@@ -89,18 +89,6 @@ class PoissonArrivals(ArrivalProcess):
             t += rand.expovariate(rate)
         return _round_times(out, horizon)
 
-    def schedule_live(
-        self,
-        loop: EventLoop,
-        rand: DeterministicRandom,
-        on_arrival,
-        until: float | None = None,
-    ) -> "LiveArrivals":
-        """Open-ended scheduling on an event loop (see :class:`LiveArrivals`)."""
-        live = LiveArrivals(loop, rand, self.rate_per_min / 60.0, on_arrival, until)
-        live.start()
-        return live
-
 
 @dataclass(frozen=True)
 class DiurnalArrivals(ArrivalProcess):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.scenarios.arrivals import ArrivalProcess, PoissonArrivals
 from repro.util.errors import ConfigurationError
@@ -280,8 +279,3 @@ class ScenarioSpec:
     def expected_regions(self) -> list[str]:
         """The regions this audience can come from, sorted."""
         return sorted(self.population.region_mix)
-
-
-def spec_field_names(specs: Iterable[ScenarioSpec]) -> list[str]:
-    """Sorted names of the given specs (matrix axis labels)."""
-    return sorted(spec.name for spec in specs)

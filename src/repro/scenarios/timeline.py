@@ -97,35 +97,6 @@ class Timeline:
         """SHA-256 over the canonical JSON."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    def realized_nat_mix(self) -> dict[str, int]:
-        """Session counts per NAT kind, sorted by kind."""
-        counts: dict[str, int] = {}
-        for session in self.sessions:
-            counts[session.nat] = counts.get(session.nat, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def realized_region_mix(self) -> dict[str, int]:
-        """Session counts per country, sorted by country."""
-        counts: dict[str, int] = {}
-        for session in self.sessions:
-            counts[session.country] = counts.get(session.country, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def realized_title_mix(self) -> dict[int, int]:
-        """Session counts per title index, sorted by title."""
-        counts: dict[int, int] = {}
-        for session in self.sessions:
-            counts[session.title] = counts.get(session.title, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def cellular_count(self) -> int:
-        """How many sessions join on cellular links."""
-        return sum(1 for session in self.sessions if session.cellular)
-
-    def leech_count(self) -> int:
-        """How many sessions are free riders."""
-        return sum(1 for session in self.sessions if session.leech)
-
 
 def _session_for(
     spec: ScenarioSpec, viewer_id: int, join_at: float, vr: DeterministicRandom

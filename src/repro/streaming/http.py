@@ -109,11 +109,6 @@ class UrlSpace:
         """Register ``interceptor(request) -> HttpResponse | None``."""
         self._interceptors.append(interceptor)
 
-    def remove_interceptor(self, interceptor) -> None:
-        """Unregister an interceptor previously added."""
-        if interceptor in self._interceptors:
-            self._interceptors.remove(interceptor)
-
     def register(self, hostname: str, server: HttpServer) -> None:
         """Register."""
         self._servers[hostname.lower()] = server

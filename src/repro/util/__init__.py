@@ -17,7 +17,7 @@ from repro.util.errors import (
 from repro.util.ids import IdFactory
 from repro.util.rand import DeterministicRandom
 from repro.util.encoding import b64url_decode, b64url_encode
-from repro.util.metrics import Counter, Gauge, MetricRegistry, TimeSeries
+from repro.util.metrics import TimeSeries
 from repro.util.tables import render_table
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "DeterministicRandom",
     "b64url_encode",
     "b64url_decode",
-    "Counter",
-    "Gauge",
-    "MetricRegistry",
     "TimeSeries",
     "render_table",
 ]

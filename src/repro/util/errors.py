@@ -22,10 +22,6 @@ class AddressInUseError(NetworkError):
     """A host tried to bind a UDP/TCP port that is already bound."""
 
 
-class HostUnreachableError(NetworkError):
-    """A datagram or connection was addressed to an unknown endpoint."""
-
-
 class ProtocolError(ReproError):
     """A protocol message was malformed or arrived in the wrong state."""
 
@@ -64,7 +60,3 @@ class TokenError(AuthenticationError):
 
 class IntegrityError(ReproError):
     """Content integrity verification failed (polluted segment, bad SIM)."""
-
-
-class BlacklistedPeerError(ReproError):
-    """A blacklisted peer attempted to interact with the PDN server."""

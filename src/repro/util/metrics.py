@@ -1,44 +1,14 @@
-"""Lightweight metrics primitives used by monitors and experiments.
+"""A sampled time series with summary statistics.
 
-The Docker-stats analog (:mod:`repro.privacy.resources`) and the traffic
-accounting in the CDN/PDN layers record their observations through these
-classes so that experiments can aggregate them uniformly.
+The Docker-stats analog (:mod:`repro.privacy.resources`) records its
+observations through :class:`TimeSeries` so that experiments can
+aggregate them uniformly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Inc."""
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can move up and down."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Set."""
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        """Add."""
-        self.value += amount
 
 
 @dataclass
@@ -101,41 +71,3 @@ class TimeSeries:
     def total(self) -> float:
         """Total."""
         return sum(self.values())
-
-
-class MetricRegistry:
-    """A named collection of counters, gauges, and series."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._series: dict[str, TimeSeries] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Counter."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        """Gauge."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def series(self, name: str) -> TimeSeries:
-        """Series."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat dict of counter/gauge values and series means."""
-        out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[f"counter.{name}"] = c.value
-        for name, g in self._gauges.items():
-            out[f"gauge.{name}"] = g.value
-        for name, s in self._series.items():
-            out[f"series.{name}.mean"] = s.mean()
-        return out

@@ -229,13 +229,6 @@ class Corpus:
                 return app
         return None
 
-    def record_for(self, name: str) -> CustomerRecord | None:
-        """Record for."""
-        for record in self.records:
-            if record.name == name:
-                return record
-        return None
-
     def expected_confirmed(self, kind: str) -> set[str]:
         """Expected confirmed."""
         return {r.name for r in self.records if r.kind == kind and r.confirmed_expected}
@@ -522,8 +515,6 @@ class CorpusPlan:
         self.config = config or CorpusConfig()
         self.ground_sites: list[SiteSpec] = _ground_site_specs(self.config)
         self.ground_apps: list[AppSpec] = _ground_app_specs(self.config)
-        self._site_specs_by_domain = {s.domain: s for s in self.ground_sites}
-        self._app_specs_by_package = {a.package: a for a in self.ground_apps}
 
     # -- addressing -------------------------------------------------------
 
@@ -568,18 +559,6 @@ class CorpusPlan:
         return AppSpec(kind="noise_app", package=f"com.noise.app{i}",
                        downloads=10_000 * (i + 1), plain_versions=3)
 
-    def site_spec_for(self, domain: str) -> SiteSpec | None:
-        """Ground-truth spec lookup by domain (noise sites return None)."""
-        return self._site_specs_by_domain.get(domain)
-
-    def app_spec_for(self, package: str) -> AppSpec | None:
-        """Ground-truth spec lookup by package (noise apps return None)."""
-        return self._app_specs_by_package.get(package)
-
-    def top10k_domains(self) -> list[str]:
-        """The top-10K WebRTC probe list, in spec (== legacy) order."""
-        return [s.domain for s in self.ground_sites if s.top10k]
-
     # -- sharding ---------------------------------------------------------
 
     def shard(self, index: int, count: int) -> "CorpusShard":
@@ -587,10 +566,6 @@ class CorpusPlan:
         if not 0 <= index < count:
             raise ValueError(f"shard index {index} out of range for {count} shards")
         return CorpusShard(self, index, count)
-
-    def shards(self, count: int) -> list["CorpusShard"]:
-        """All ``count`` shards, covering every spec exactly once."""
-        return [CorpusShard(self, i, count) for i in range(max(1, count))]
 
 
 @dataclass(frozen=True)
@@ -608,18 +583,6 @@ class CorpusShard:
     plan: CorpusPlan
     index: int
     count: int
-
-    @property
-    def n_sites(self) -> int:
-        """Number of site specs in this shard."""
-        total = self.plan.total_sites
-        return (total - self.index + self.count - 1) // self.count if total > self.index else 0
-
-    @property
-    def n_apps(self) -> int:
-        """Number of app specs in this shard."""
-        total = self.plan.total_apps
-        return (total - self.index + self.count - 1) // self.count if total > self.index else 0
 
     def site_specs(self):
         """Yield this shard's site specs lazily."""

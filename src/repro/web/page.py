@@ -169,11 +169,6 @@ class Website:
         """Pdn pages."""
         return [p for p in self.pages.values() if p.embed is not None]
 
-    def video_url_for(self, path: str = "/") -> str | None:
-        """Video url for."""
-        page = self.page(path)
-        return page.embed.video_url if page and page.embed else None
-
     # -- HTTP -------------------------------------------------------------
 
     def handle_request(self, request: HttpRequest) -> HttpResponse:

@@ -299,8 +299,3 @@ class PeerConnection:
         """Close and release resources."""
         self.closed = True
         self.socket.close()
-
-    @property
-    def uses_relay_path(self) -> bool:
-        """Uses relay path."""
-        return self.config.relay_only and self.turn_client is not None

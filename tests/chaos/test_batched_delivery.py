@@ -190,7 +190,6 @@ class TestDrainMechanics:
         net, a, b, sock = one_host_net()
         for i in range(4):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
-        net.auto_retune = False
         net.loop.configure_wheel(None, 0)  # flush columns to the heap
         assert net.loop.wheel_occupancy == 0
         assert net.loop.pending == 4

@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from repro.detection.stages import ShardScanState
 from repro.detection.streaming import (
     ScanIncomplete,
+    ShardScanState,
     StreamingDetectionPipeline,
     merge_shard_states,
     scan_shard,

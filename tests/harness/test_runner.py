@@ -59,6 +59,17 @@ class TestExecuteSpec:
         assert outcome.profile["total_events"] == outcome.record.events_fired
         assert outcome.profile["sites"]
 
+    def test_process_mode_shards_count_their_events(self, monkeypatch):
+        # Forked shard workers fire their events where the parent's
+        # sinks cannot see them; the coordinator must fold their counts
+        # into the run record.
+        for name in ("REPRO_SHARD_INLINE", "REPRO_SHARD_WORKERS", "REPRO_DETSAN"):
+            monkeypatch.delenv(name, raising=False)
+        params = dict(quick_params("swarm-scale"), shard_workers=2)
+        record = execute_spec("swarm-scale", seed=2024, params=params).record
+        assert record.ok and record.extra["mode"] == "process"
+        assert record.events_fired == record.extra["events_fired"] > 0
+
 
 class TestRunner:
     def test_preserves_request_order(self):

@@ -115,14 +115,6 @@ class TestOverflowThreshold:
 
 
 class TestOptOuts:
-    def test_auto_retune_false_disables_checks(self, monkeypatch):
-        net = make_network()
-        net.auto_retune = False
-        calls = count_tunes(net, monkeypatch)
-        net._auto_retune_check()
-        assert calls == []
-        assert not net._retune_warmed
-
     def test_disabled_wheel_left_alone(self, monkeypatch):
         # tests/chaos/test_timing_wheel.py turns the wheel off outright
         # to prove heap/wheel equivalence; auto-retune must not
@@ -148,49 +140,37 @@ class TestOptOuts:
 
 
 class TestCrossRegionBand:
-    """Regression: ``latency_between`` must record the cross-region band.
+    """Regression: a retune must keep the cross-region band once seen.
 
-    The send path sets ``_saw_cross_region`` inline, but control-plane
-    latency draws go through :meth:`Network.latency_between`. A network
-    whose *only* cross-region traffic flows through that slow path used
-    to retune to the narrow same-region band once a knob assignment
-    cleared the region-pair cache — the flag is what survives the clear.
+    The send paths set ``_saw_cross_region`` on the first cross-region
+    datagram. A knob assignment retunes the wheel after traffic has
+    flowed; if the flag were lost, the wheel would narrow to the
+    same-region band and every later cross-region delivery would
+    overflow to the heap.
     """
 
     def cross_width(self, net: Network) -> float:
         return 2.0 * (net.cross_region_latency + net.jitter) / net.loop._wheel_slots
 
-    def test_slow_path_cross_draw_sets_the_flag(self):
-        net = make_network()
-        us = net.add_host("a", region="us")
-        net.add_host("b", region="eu")
-        assert not net._saw_cross_region
-        net.latency_between(us, "eu")
-        assert net._saw_cross_region
-
-    def test_cached_cross_draw_still_sets_the_flag(self):
-        net = make_network()
-        us = net.add_host("a", region="us")
-        net.latency_between(us, "eu")  # populates the pair cache
-        net._saw_cross_region = False
-        net.latency_between(us, "eu")  # cache hit must set it again
-        assert net._saw_cross_region
-
-    def test_same_region_and_regionless_draws_do_not(self):
+    def test_same_region_and_regionless_sends_do_not_set_the_flag(self):
         net = make_network()
         us = net.add_host("a", region="us")
         bare = net.add_host("c")
-        net.latency_between(us, "us")
-        net.latency_between(us, None)
-        net.latency_between(bare, "eu")
+        sock = net.add_host("b", region="us").bind_udp(9000)
+        bare_sock = bare.bind_udp(9000)
+        send_one(net, us, sock.endpoint)
+        send_one(net, us, bare_sock.endpoint)
+        send_one(net, bare, sock.endpoint)
         assert not net._saw_cross_region
 
     def test_retune_after_knob_clear_keeps_cross_region_geometry(self):
         net = make_network()
         us = net.add_host("a", region="us")
-        net.latency_between(us, "eu")  # only cross-region signal: slow path
-        net.datagrams_sent = 1  # same-region in-band traffic happened
-        # Assigning a knob clears the region-pair cache and retunes; the
-        # wheel must still be sized for the cross-region band.
+        eu = net.add_host("b", region="eu")
+        assert not net._saw_cross_region
+        send_one(net, us, eu.bind_udp(9000).endpoint)  # one real cross-region send
+        assert net._saw_cross_region
+        # Assigning a knob retunes; the wheel must still be sized for
+        # the cross-region band.
         net.base_latency = net.base_latency
         assert net.loop._wheel_width == pytest.approx(self.cross_width(net))

@@ -85,20 +85,32 @@ class TestWindowEdges:
     """The lookahead barrier is exact: arrivals may land *on* it."""
 
     def test_injection_on_the_barrier_is_legal(self):
-        loop = EventLoop()
+        net = ShardNetwork(0, 2, DEFAULT_REGIONS, rand=DeterministicRandom(7))
+        loop = net.loop
+        fired = []
+        net.add_indexed_host(0).bind_udp(4000, handler=lambda *_: fired.append(loop.now))
         loop.run_until_window(0.116)
         assert loop.now == 0.116
-        fired = []
-        loop.inject(0.116, fired.append, (1,))  # exactly at the barrier
+        cols = (array("d", [0.116]), array("q", [0]), array("q", [1]))  # exactly at the barrier
+        assert net.inject_batches([cols]) == 1
+        assert fired == []  # delivered in the next window, not this one
         loop.run_until_window(0.232)
-        assert fired == [1]
+        assert fired == [0.116]
         assert loop.now == 0.232
 
     def test_injection_into_the_past_is_a_protocol_violation(self):
-        loop = EventLoop()
-        loop.run_until_window(0.116)
+        # The stale row sits in the second source batch: the check runs
+        # on the earliest row after the merge sort, and rejects the
+        # whole injection before anything is enqueued.
+        net = ShardNetwork(0, 2, DEFAULT_REGIONS, rand=DeterministicRandom(7))
+        net.add_indexed_host(0).bind_udp(4000)
+        net.loop.run_until_window(0.116)
+        on_time = (array("d", [0.2]), array("q", [0]), array("q", [1]))
+        stale = (array("d", [0.1]), array("q", [0]), array("q", [3]))
         with pytest.raises(ConfigurationError, match="window protocol"):
-            loop.inject(0.1, lambda: None, ())
+            net.inject_batches([on_time, stale])
+        assert net.loop.pending == 0
+        assert net.datagrams_in_flight == 0
 
     def test_run_until_window_budget_is_exact(self):
         loop = EventLoop()

@@ -1,20 +1,8 @@
-"""Tests for metrics primitives."""
+"""Tests for the TimeSeries metrics primitive."""
 
 import pytest
 
-from repro.util.metrics import Counter, Gauge, MetricRegistry, TimeSeries
-
-
-class TestCounter:
-    def test_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1)
+from repro.util.metrics import TimeSeries
 
 
 class TestTimeSeries:
@@ -47,21 +35,3 @@ class TestTimeSeries:
         assert ts.mean() == 0.0
         assert ts.stddev() == 0.0
         assert ts.percentile(50) == 0.0
-
-
-class TestRegistry:
-    def test_same_name_same_object(self):
-        reg = MetricRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.series("s") is reg.series("s")
-
-    def test_snapshot_flattens(self):
-        reg = MetricRegistry()
-        reg.counter("sent").inc(5)
-        reg.gauge("depth").set(2)
-        reg.series("cpu").record(0.0, 10.0)
-        snap = reg.snapshot()
-        assert snap["counter.sent"] == 5
-        assert snap["gauge.depth"] == 2
-        assert snap["series.cpu.mean"] == 10.0
