@@ -17,6 +17,7 @@ thousands of times lower.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.core.report import TestReport
@@ -72,7 +73,7 @@ class GhostViewer:
 
 @dataclass
 class HarvestRecord:
-    """HarvestRecord."""
+    """One disclosed candidate address and the instant it was polled."""
     at: float
     ip: str
 
@@ -102,10 +103,18 @@ class HarvestingPeer:
         self.session_id: str | None = None
         self._origin = origin
         self._credential = credential
+        self._grid_start = 0.0
+        self._windows: list[tuple[float, float]] = []
         self._timer = None
 
     def start(self) -> bool:
-        """Start this component."""
+        """Join the swarm and start polling for candidates.
+
+        Polls fall on the grid ``start + k * poll_interval``. Only the
+        grid instants inside a window are scheduled, one chain at a
+        time, so the loop carries no harvester events between windows;
+        without windows, one window spans the whole run.
+        """
         response = self.http.post(
             f"https://{self.provider.profile.signaling_host}/v2/join",
             json.dumps({"credential": self._credential, "video_url": self.video_url}).encode(),
@@ -114,19 +123,41 @@ class HarvestingPeer:
         if not response.ok:
             return False
         self.session_id = json.loads(response.body.decode())["session_id"]
-        self._timer = self.env.loop.call_every(self.poll_interval, self._poll)
-        self._poll()
+        loop = self.env.loop
+        self._grid_start = loop.now
+        always = [(loop.now, math.inf)]
+        self._windows = sorted(always if self.windows is None else self.windows)
+        self._arm_window(loop.now)
         return True
 
-    def _in_window(self) -> bool:
-        if self.windows is None:
-            return True
-        now = self.env.loop.now
-        return any(t0 <= now <= t1 for t0, t1 in self.windows)
+    def _arm_window(self, after: float) -> None:
+        """Arm the first grid instant at or after ``after`` that lies in
+        a window, or nothing once no window has one left."""
+        loop = self.env.loop
+        step = self.poll_interval
+        for t0, t1 in self._windows:
+            k = math.ceil((max(t0, after) - self._grid_start) / step)
+            first = self._grid_start + k * step
+            if first > t1:
+                continue
+            if first <= loop.now:  # open at start(): poll at once
+                self._open_window(t1)
+            else:
+                self._timer = loop.schedule_at(first, self._open_window, t1)
+            return
+
+    def _open_window(self, t1: float) -> None:
+        self._timer = self.env.loop.call_every(self.poll_interval, self._poll_window, t1)
+        self._poll_window(t1)
+
+    def _poll_window(self, t1: float) -> None:
+        self._poll()
+        after = self.env.loop.now + self.poll_interval
+        if after > t1:  # the window's last grid instant: hand over
+            self._timer.cancel()
+            self._arm_window(after)
 
     def _poll(self) -> None:
-        if self.session_id is None or not self._in_window():
-            return
         response = self.http.post(
             f"https://{self.provider.profile.signaling_host}/v2/candidates",
             json.dumps({"session_id": self.session_id}).encode(),
@@ -137,7 +168,7 @@ class HarvestingPeer:
             self.records.append(HarvestRecord(self.env.loop.now, peer["ip"]))
 
     def stop(self) -> None:
-        """Stop this component."""
+        """Cancel whichever poll chain or window opener is armed."""
         if self._timer is not None:
             self._timer.cancel()
 

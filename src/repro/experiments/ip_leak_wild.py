@@ -74,38 +74,47 @@ class PlatformLeak:
 
     def bogon_breakdown(self) -> dict[str, int]:
         """Non-public addresses split into private / shared-NAT / reserved."""
-        out = {"private": 0, "shared_nat": 0, "reserved": 0}
-        for ip in self.unique_ips:
-            cls = classify_ip(ip)
-            if cls is IpClass.PRIVATE:
-                out["private"] += 1
-            elif cls is IpClass.SHARED_NAT:
-                out["shared_nat"] += 1
-            elif cls is IpClass.RESERVED:
-                out["reserved"] += 1
-        return out
+        return _bogon_split(classify_ip(ip) for ip in self.unique_ips)
 
     def country_distribution(self, geo) -> dict[str, float]:
         """Share of public addresses per country, largest first."""
-        publics = self.public_ips()
-        if not publics:
-            return {}
-        counts: dict[str, int] = {}
-        for ip in publics:
-            counts[geo.country_of(ip)] = counts.get(geo.country_of(ip), 0) + 1
-        return {c: n / len(publics) for c, n in sorted(counts.items(), key=lambda kv: -kv[1])}
+        return self.geo_stats(geo)["country_distribution"]
 
     def cities(self, geo) -> int:
         """How many distinct cities the public addresses geolocate to."""
-        return len({geo.lookup(ip).city for ip in self.public_ips()})
+        return self.geo_stats(geo)["cities"]
 
     def same_country_share(self, geo) -> float:
         """What a same-country geo filter would still disclose (§V-C)."""
-        publics = self.public_ips()
-        if not publics:
-            return 0.0
-        same = sum(1 for ip in publics if geo.country_of(ip) == self.observer_country)
-        return same / len(publics)
+        return self.geo_stats(geo)["same_country_share"]
+
+    def geo_stats(self, geo) -> dict:
+        """The public count, bogon split, country shares, city count and
+        same-country share, from one ``geo.lookup`` per address."""
+        infos = [geo.lookup(ip) for ip in self.unique_ips]
+        public = [info for info in infos if info.is_public]
+        counts: dict[str, int] = {}
+        for info in public:
+            counts[info.country] = counts.get(info.country, 0) + 1
+        n = len(public)
+        return {
+            "public": n,
+            "bogons": _bogon_split(info.ip_class for info in infos),
+            "country_distribution": {
+                c: k / n for c, k in sorted(counts.items(), key=lambda kv: -kv[1])
+            },
+            "cities": len({info.city for info in public}),
+            "same_country_share": counts.get(self.observer_country, 0) / n if n else 0.0,
+        }
+
+
+def _bogon_split(classes) -> dict[str, int]:
+    """Count the non-public classes among ``classes`` by class name."""
+    out = {"private": 0, "shared_nat": 0, "reserved": 0}
+    for ip_class in classes:
+        if ip_class is not IpClass.PUBLIC:
+            out[ip_class.value] += 1
+    return out
 
 
 @dataclass
@@ -137,11 +146,7 @@ class IpLeakWildResult(ResultBase):
                 "observer_country": leak.observer_country,
                 "unique_ips": sorted(leak.unique_ips),
                 "total": leak.total,
-                "public": len(leak.public_ips()),
-                "bogons": leak.bogon_breakdown(),
-                "country_distribution": leak.country_distribution(self.geo),
-                "cities": leak.cities(self.geo),
-                "same_country_share": leak.same_country_share(self.geo),
+                **leak.geo_stats(self.geo),
             }
         out = {"total_unique": self.total_unique, "platforms": platforms}
         if self.scenario_name:
@@ -163,11 +168,12 @@ class IpLeakWildResult(ResultBase):
     def render(self) -> str:
         """Render the result as the paper-style text block."""
         blocks = []
-        total_public = sum(len(p.public_ips()) for p in self.platforms.values())
+        stats = {name: p.geo_stats(self.geo) for name, p in self.platforms.items()}
+        total_public = sum(stat["public"] for stat in stats.values())
         total_bogons = self.total_unique - total_public
         split = {"private": 0, "shared_nat": 0, "reserved": 0}
-        for platform in self.platforms.values():
-            for key, value in platform.bogon_breakdown().items():
+        for stat in stats.values():
+            for key, value in stat["bogons"].items():
                 split[key] += value
         title = "§IV-D IP leak in the wild (paper values in parentheses)"
         if self.scenario_name:
@@ -186,7 +192,7 @@ class IpLeakWildResult(ResultBase):
             )
         )
         for name, platform in self.platforms.items():
-            dist = platform.country_distribution(self.geo)
+            dist = stats[name]["country_distribution"]
             top = list(dist.items())[:3]
             blocks.append(
                 render_kv(
@@ -194,11 +200,11 @@ class IpLeakWildResult(ResultBase):
                     [
                         ("unique IPs", platform.total),
                         ("countries", len(dist)),
-                        ("cities", platform.cities(self.geo)),
+                        ("cities", stats[name]["cities"]),
                         ("top countries", ", ".join(f"{c} {p * 100:.0f}%" for c, p in top)),
                         (
                             "leaks surviving same-country filter (§V-C)",
-                            f"{platform.same_country_share(self.geo) * 100:.0f}%",
+                            f"{stats[name]['same_country_share'] * 100:.0f}%",
                         ),
                     ],
                 )
@@ -323,7 +329,7 @@ def _harvest_platform(
     provider.signaling.geo_resolver = env.geo.resolver()
     # Ghost viewers are lightweight stand-ins for real SDKs (which send
     # keepalives); disable idle reaping rather than simulate 10^6 pings.
-    provider.signaling.session_ttl = 10 * days * DAY
+    provider.signaling.reaper.cancel()
 
     video_url = f"https://cdn.{name}/live/channel-1/playlist.m3u8"
     credential = (

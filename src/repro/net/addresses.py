@@ -57,37 +57,38 @@ def int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def _in_block(value: int, network: str, prefix_len: int) -> bool:
-    base = ip_to_int(network)
-    mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
-    return (value & mask) == base
+#: ``(base, mask, class)`` per bogon block, in the order
+#: :func:`classify_ip` tests them: private, shared NAT, then reserved.
+_BOGON_BLOCKS: tuple[tuple[int, int, IpClass], ...] = tuple(
+    (ip_to_int(network), (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF, ip_class)
+    for network, prefix, ip_class in (
+        ("10.0.0.0", 8, IpClass.PRIVATE),
+        ("172.16.0.0", 12, IpClass.PRIVATE),
+        ("192.168.0.0", 16, IpClass.PRIVATE),
+        ("100.64.0.0", 10, IpClass.SHARED_NAT),
+        ("0.0.0.0", 8, IpClass.RESERVED),
+        ("127.0.0.0", 8, IpClass.RESERVED),
+        ("169.254.0.0", 16, IpClass.RESERVED),
+        ("192.0.2.0", 24, IpClass.RESERVED),
+        ("198.51.100.0", 24, IpClass.RESERVED),
+        ("203.0.113.0", 24, IpClass.RESERVED),
+        ("224.0.0.0", 4, IpClass.RESERVED),
+        ("240.0.0.0", 4, IpClass.RESERVED),
+    )
+)
 
 
-_PRIVATE_BLOCKS = [("10.0.0.0", 8), ("172.16.0.0", 12), ("192.168.0.0", 16)]
-_RESERVED_BLOCKS = [
-    ("0.0.0.0", 8),
-    ("127.0.0.0", 8),
-    ("169.254.0.0", 16),
-    ("192.0.2.0", 24),
-    ("198.51.100.0", 24),
-    ("203.0.113.0", 24),
-    ("224.0.0.0", 4),
-    ("240.0.0.0", 4),
-]
+def classify_ip_int(value: int) -> IpClass:
+    """Classify an already-parsed IPv4 address (see :func:`classify_ip`)."""
+    for base, mask, ip_class in _BOGON_BLOCKS:
+        if value & mask == base:
+            return ip_class
+    return IpClass.PUBLIC
 
 
 def classify_ip(ip: str) -> IpClass:
     """Classify an IPv4 address per the paper's bogon taxonomy."""
-    value = ip_to_int(ip)
-    for network, prefix in _PRIVATE_BLOCKS:
-        if _in_block(value, network, prefix):
-            return IpClass.PRIVATE
-    if _in_block(value, "100.64.0.0", 10):
-        return IpClass.SHARED_NAT
-    for network, prefix in _RESERVED_BLOCKS:
-        if _in_block(value, network, prefix):
-            return IpClass.RESERVED
-    return IpClass.PUBLIC
+    return classify_ip_int(ip_to_int(ip))
 
 
 def is_bogon(ip: str) -> bool:

@@ -97,9 +97,10 @@ class PdnSignalingServer:
         self.joins_rejected = 0
         self.sessions_reaped = 0
         # Trackers expire silent peers: the SDK's periodic stats report
-        # doubles as its keepalive.
+        # doubles as its keepalive. A run whose stand-in peers send no
+        # keepalives cancels ``reaper``.
         self.session_ttl = 60.0
-        loop.call_every(self.session_ttl / 2, self._reap_idle_sessions)
+        self.reaper = loop.call_every(self.session_ttl / 2, self._reap_idle_sessions)
 
     # -- HTTP interface -------------------------------------------------------
 
@@ -113,7 +114,7 @@ class PdnSignalingServer:
         if path == "/v2/join":
             return self._handle_join(request, body)
         session = self._sessions.get(body.get("session_id", ""))
-        if session is None or session.left:
+        if session is None:
             return _json_response(403, {"error": "unknown session"})
         if session.peer_id in self.blacklist:
             return _json_response(403, {"error": "peer blacklisted"})
@@ -256,6 +257,9 @@ class PdnSignalingServer:
         if session.left:
             return
         session.left = True
+        # Only live sessions stay indexed; the dict keeps join order, so
+        # the reaper and settle_all walk the survivors in join order.
+        self._sessions.pop(session.session_id, None)
         self._swarms.get(session.swarm_id, {}).pop(session.peer_id, None)
         account = self.provider.billing.account(session.customer_id)
         account.record_viewer_time(self.loop.now - session.joined_at)
@@ -273,7 +277,7 @@ class PdnSignalingServer:
         containers): their addresses must not keep being disclosed."""
         deadline = self.loop.now - self.session_ttl
         for session in list(self._sessions.values()):
-            if not session.left and session.last_seen < deadline:
+            if session.last_seen < deadline:
                 self.sessions_reaped += 1
                 self._leave(session)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.addresses import IpClass, classify_ip, ip_to_int
+from repro.net.addresses import IpClass, classify_ip, classify_ip_int, ip_to_int
 from repro.util.errors import ConfigurationError
 from repro.util.rand import DeterministicRandom
 
@@ -105,7 +105,7 @@ class GeoInfo:
 
     @property
     def is_public(self) -> bool:
-        """Is public."""
+        """True when the address is publicly routable (not a bogon)."""
         return self.ip_class is IpClass.PUBLIC
 
 
@@ -129,11 +129,15 @@ class GeoDatabase:
     # -- lookup ---------------------------------------------------------
 
     def lookup(self, ip: str) -> GeoInfo:
-        """Lookup."""
-        ip_class = classify_ip(ip)
+        """Geolocate ``ip``; bogons get empty country, city and ISP.
+
+        A public address whose first octet no country owns reports
+        country ``"XX"``.
+        """
+        value = ip_to_int(ip)
+        ip_class = classify_ip_int(value)
         if ip_class is not IpClass.PUBLIC:
             return GeoInfo(ip, ip_class, country="", city="", isp="")
-        value = ip_to_int(ip)
         octet = (value >> 24) & 0xFF
         country = self._octet_to_country.get(octet, "XX")
         city = f"{country}-city-{(value >> 12) % _CITIES_PER_COUNTRY}"
@@ -141,14 +145,14 @@ class GeoDatabase:
         return GeoInfo(ip, ip_class, country, city, isp)
 
     def country_of(self, ip: str) -> str:
-        """Country of."""
+        """The country code :meth:`lookup` gives ``ip`` (empty for bogons)."""
         return self.lookup(ip).country
 
     def resolver(self):
         """A ``(ip) -> (country, isp)`` callable for the signaling server."""
 
         def resolve(ip: str) -> tuple[str, str]:
-            """Resolve."""
+            """Map a joining peer's address to its (country, ISP)."""
             info = self.lookup(ip)
             return info.country, info.isp
 
@@ -157,7 +161,7 @@ class GeoDatabase:
     # -- generation -------------------------------------------------------
 
     def countries(self) -> list[str]:
-        """Countries."""
+        """Every country that owns address space, sorted by code."""
         return sorted(self._country_octets)
 
     def random_ip(self, rand: DeterministicRandom, country: str) -> str:

@@ -36,7 +36,7 @@ class PlatformAudience:
     )
 
     def pick_country(self, rand: DeterministicRandom) -> str:
-        """Pick country."""
+        """Draw one viewer's country from the audience's weights."""
         return rand.weighted_pick(list(self.country_weights.items()))
 
 

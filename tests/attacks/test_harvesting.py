@@ -4,6 +4,7 @@ from repro.attacks.harvesting import GhostViewer, HarvestingPeer, IpLeakTest
 from repro.core.analyzer import PdnAnalyzer
 from repro.core.testbed import build_test_bed
 from repro.environment import Environment
+from repro.net.clock import EventLoop
 from repro.pdn.policy import ClientPolicy
 from repro.pdn.provider import PEER5, PdnProvider
 from repro.privacy.viewers import ViewerDescriptor
@@ -74,6 +75,77 @@ class TestHarvestingPeer:
         harvester.start()
         env.run(60.0)
         assert harvester.unique_ips() == set()
+
+
+class _FireTimes:
+    """Loop sink recording the instant of every fired event."""
+
+    def __init__(self):
+        self.times = []
+
+    def record(self, loop, entry):
+        self.times.append(loop.now)
+
+
+def windowed_world(n_ghosts=3):
+    """A swarm of long-lived ghosts whose tracker never reaps."""
+    env, provider, key = make_provider_world()
+    provider.signaling.reaper.cancel()  # ghosts don't keepalive
+    for i in range(n_ghosts):
+        GhostViewer(env, provider, key.key, "https://cdn/v.m3u8",
+                    descriptor(f"9.9.9.{i}", i, session=1e6), "https://site.com")
+    return env, provider, key
+
+
+class TestHarvestWindows:
+    #: Both ends inclusive: 1003, 1098, 2013 and 2503 lie on the 3 + 5k
+    #: grid, and the last window holds a single grid instant.
+    WINDOWS = [(1003.0, 1098.0), (2000.5, 2013.0), (2500.0, 2503.0)]
+
+    def test_no_event_fires_outside_the_windows(self, monkeypatch):
+        env, provider, key = windowed_world()
+        harvester = HarvestingPeer(env, provider, key.key, "https://cdn/v.m3u8",
+                                   origin="https://site.com", poll_interval=5.0,
+                                   windows=self.WINDOWS)
+        sink = _FireTimes()
+        monkeypatch.setattr(EventLoop, "_sinks", (sink,))
+        harvester.start()
+        env.run(3000.0)
+        assert sink.times
+        assert all(any(t0 <= t <= t1 for t0, t1 in self.WINDOWS) for t in sink.times)
+
+    def test_polls_stay_on_the_start_grid(self):
+        env, provider, key = windowed_world()
+        env.run(3.0)  # the grid starts at the join, not at zero
+        harvester = HarvestingPeer(env, provider, key.key, "https://cdn/v.m3u8",
+                                   origin="https://site.com", poll_interval=5.0,
+                                   windows=self.WINDOWS)
+        harvester.start()
+        env.run(3000.0)
+        grid = [3.0 + 5.0 * k for k in range(600)]
+        expected = [t for t in grid if any(t0 <= t <= t1 for t0, t1 in self.WINDOWS)]
+        assert expected[0] == 1003.0 and {1098.0, 2013.0} <= set(expected)
+        assert expected[-1] == 2503.0
+        assert sorted({r.at for r in harvester.records}) == expected
+
+    def test_window_open_at_start_polls_at_once(self):
+        env, provider, key = windowed_world()
+        harvester = HarvestingPeer(env, provider, key.key, "https://cdn/v.m3u8",
+                                   origin="https://site.com", windows=[(0.0, 50.0)])
+        harvester.start()
+        assert {r.at for r in harvester.records} == {0.0}
+
+    def test_stop_before_a_window_disarms_everything(self):
+        env, provider, key = windowed_world()
+        pending = env.loop.pending
+        harvester = HarvestingPeer(env, provider, key.key, "https://cdn/v.m3u8",
+                                   origin="https://site.com", poll_interval=5.0,
+                                   windows=self.WINDOWS)
+        harvester.start()
+        harvester.stop()
+        assert env.loop.pending == pending
+        env.run(3000.0)
+        assert harvester.records == []
 
 
 class TestIpLeakTest:

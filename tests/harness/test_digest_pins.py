@@ -25,6 +25,7 @@ EXPECTED_DIGESTS = {
     "bandwidth": "bf6e25fb8235109c0dd3c76bc45b162a319010a4b5ae675ec4e3dd6e1332c456",
     "chaos": "9a6263c61366eb2f218951774b52abe7d3d99cc838dd0e84d2c8453f4a6061ae",
     "free-riding": "df04fda8afc60a61e6de459b59a9f905a60626bd978922170f65e1f377c73d39",
+    "ip-leak": "d1e25aff850b76b34b43c9efd0e687c240f167ed087414101c7c8b595a6fe4b4",
     "scenario-matrix": "3e4c8b8a0746d3a67c85ca14fa68fd5cf342f015e35a4c1d908f0e7653c3a6eb",
 }
 
@@ -40,6 +41,25 @@ EXPECTED_SCENARIO_DIGESTS = {
     "vod-longtail": "5530406d5cfdd27d289b2abdf876d22684ceb02cb96f2a2dc2d70f07873a1220",
 }
 
+#: ip-leak variant -> (overrides on the quick params, digest at seed
+#: 2024, most events the run may fire or None). Two days cross a
+#: harvest-window boundary; polls inside the two windows plus ghost
+#: joins and leaves come to ~1.7k events, while polling and reaping
+#: through the idle hours cost ~45k. The ``steady`` preset
+#: harvests one window over a scenario-driven audience.
+EXPECTED_IP_LEAK_DIGESTS = {
+    "days=2.0": (
+        {"days": 2.0},
+        "bbce3c9c9cc40a00692b6081f3edff383645e507e4cdb2c922bf5f48588928c7",
+        5_000,
+    ),
+    "scenario=steady": (
+        {"scenario": "steady"},
+        "4598e1f2de03c749bc34175be343486e8b65a1ea81d6bf2829ca2eda38316468",
+        None,
+    ),
+}
+
 PIN_SEED = 2024
 
 
@@ -47,6 +67,14 @@ def _scenario_params(preset: str) -> dict:
     """Quick scenario-matrix params restricted to one preset × churn."""
     base = dict(registry.get("scenario-matrix").resolve_params(quick=True))
     return {**base, "scenarios": preset, "faults": "churn"}
+
+
+def _ip_leak_record(overrides: dict):
+    """Run quick ip-leak with ``overrides`` at the pin seed."""
+    params = {**registry.get("ip-leak").resolve_params(quick=True), **overrides}
+    outcome = execute_spec("ip-leak", PIN_SEED, params)
+    assert outcome.record.ok, outcome.record.error
+    return outcome.record
 
 
 def current_digests() -> dict:
@@ -61,6 +89,8 @@ def current_digests() -> dict:
         outcome = execute_spec("scenario-matrix", PIN_SEED, _scenario_params(preset))
         assert outcome.record.ok, outcome.record.error
         out[f"scenario:{preset}"] = outcome.record.result_digest
+    for variant, (overrides, _, _) in EXPECTED_IP_LEAK_DIGESTS.items():
+        out[f"ip-leak:{variant}"] = _ip_leak_record(overrides).result_digest
     return out
 
 
@@ -95,3 +125,16 @@ class TestScenarioPresetPins:
         assert outcome.record.extra.get("scenarios", {}).get(preset), (
             "run manifest must record the scenario digest"
         )
+
+
+class TestIpLeakPins:
+    @pytest.mark.parametrize("variant", sorted(EXPECTED_IP_LEAK_DIGESTS))
+    def test_variant_matches_pinned_digest(self, variant):
+        overrides, digest, event_budget = EXPECTED_IP_LEAK_DIGESTS[variant]
+        record = _ip_leak_record(overrides)
+        assert record.result_digest == digest, (
+            f"ip-leak {variant} drifted from its pinned digest — if the "
+            f"change is intentional, update EXPECTED_IP_LEAK_DIGESTS"
+        )
+        if event_budget is not None:
+            assert record.events_fired <= event_budget

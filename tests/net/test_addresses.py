@@ -1,5 +1,7 @@
 """Tests for IPv4 parsing and bogon classification."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,3 +69,46 @@ class TestEndpoint:
     def test_equality_and_hash(self):
         assert Endpoint("1.1.1.1", 1) == Endpoint("1.1.1.1", 1)
         assert len({Endpoint("1.1.1.1", 1), Endpoint("1.1.1.1", 1)}) == 1
+
+
+#: The taxonomy restated with the standard library, in the order
+#: classify_ip tests the blocks: private, shared NAT, then reserved.
+ORACLE_BLOCKS = [
+    (ipaddress.ip_network(cidr), ip_class)
+    for cidr, ip_class in (
+        ("10.0.0.0/8", IpClass.PRIVATE),
+        ("172.16.0.0/12", IpClass.PRIVATE),
+        ("192.168.0.0/16", IpClass.PRIVATE),
+        ("100.64.0.0/10", IpClass.SHARED_NAT),
+        ("0.0.0.0/8", IpClass.RESERVED),
+        ("127.0.0.0/8", IpClass.RESERVED),
+        ("169.254.0.0/16", IpClass.RESERVED),
+        ("192.0.2.0/24", IpClass.RESERVED),
+        ("198.51.100.0/24", IpClass.RESERVED),
+        ("203.0.113.0/24", IpClass.RESERVED),
+        ("224.0.0.0/4", IpClass.RESERVED),
+        ("240.0.0.0/4", IpClass.RESERVED),
+    )
+]
+
+
+def oracle_class(value: int) -> IpClass:
+    address = ipaddress.ip_address(value)
+    for network, ip_class in ORACLE_BLOCKS:
+        if address in network:
+            return ip_class
+    return IpClass.PUBLIC
+
+
+class TestClassificationOracle:
+    @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_random_addresses_match_stdlib(self, value: int):
+        assert classify_ip(int_to_ip(value)) is oracle_class(value)
+
+    @pytest.mark.parametrize("network", [network for network, _ in ORACLE_BLOCKS], ids=str)
+    def test_block_edges_match_stdlib(self, network):
+        first = int(network.network_address)
+        last = int(network.broadcast_address)
+        for value in (first - 1, first, first + 1, last - 1, last, last + 1):
+            if 0 <= value <= 0xFFFFFFFF:
+                assert classify_ip(int_to_ip(value)) is oracle_class(value), int_to_ip(value)

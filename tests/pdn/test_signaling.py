@@ -231,3 +231,19 @@ class TestSessionReaper:
         env.run(200.0)  # silent: gets reaped
         account = provider.billing.account("site.com")
         assert account.viewer_seconds > 0
+
+
+class TestSessionLifetime:
+    def test_left_and_reaped_sessions_are_dropped(self, world):
+        env, provider, key = world
+        peers = [join(env, provider, key.key, ip=f"9.1.1.{i}") for i in range(3)]
+        http_a, _, body_a = peers[0]
+        post(env, provider, http_a, "/v2/leave", {"session_id": body_a["session_id"]})
+        env.run(200.0)  # the other two go silent and get reaped
+        assert provider.signaling.sessions_reaped == 2
+        assert provider.signaling._sessions == {}
+        for http, _, body in peers:
+            response, payload = post(env, provider, http, "/v2/stats",
+                                     {"session_id": body["session_id"], "p2p_up": 0, "p2p_down": 0})
+            assert response.status == 403
+            assert payload == {"error": "unknown session"}
