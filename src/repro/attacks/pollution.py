@@ -95,7 +95,7 @@ class _PollutionTestBase(SecurityTest):
         """The attacker eagerly pulls the whole (altered) video into cache."""
         base = self.bed.video_url.rsplit("/", 1)[0] + "/"
         for segment in self.bed.video.segments:
-            sdk.fetch_segment(base, segment.filename, segment.index, lambda data, source: None)
+            sdk.fetch_segment(base, segment.filename, segment.index, lambda data, source, digest: None)
 
 
 class DirectContentPollutionTest(_PollutionTestBase):

@@ -80,19 +80,21 @@ class ClientHashManifest:
 
     # -- the PdnClient integrity hook interface -----------------------------
 
-    def on_cdn_segment(self, sdk, index: int, data: bytes, rendition: str = "") -> None:
+    def on_cdn_segment(self, sdk, index: int, data: bytes, sha, rendition: str = "") -> None:
         # Prefetch the manifest so verification never waits on it.
         """Integrity hook: a segment arrived from the CDN."""
         self._manifest_for(sdk, rendition)
 
     def verify_p2p_segment(
-        self, sdk, index: int, data: bytes, deliver: Callable[[bool], None], rendition: str = ""
+        self, sdk, index: int, data: bytes, sha, deliver: Callable[[bool], None], rendition: str = ""
     ) -> None:
-        """Integrity hook: vet a P2P-delivered segment."""
+        """Integrity hook: vet a P2P-delivered segment against its manifest
+        entry, reading the digest of ``sha`` (the SDK's SHA-256 state over
+        exactly ``data``)."""
         self.verifications += 1
         table = self._manifest_for(sdk, rendition)
         entry = table.get(index) if table else None
-        ok = entry is not None and hashlib.sha256(data).hexdigest() == entry["sha256"]
+        ok = entry is not None and sha.hexdigest() == entry["sha256"]
         if not ok:
             self.rejections += 1
         deliver(ok)

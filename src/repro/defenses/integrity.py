@@ -39,8 +39,14 @@ def content_id(video_url: str, base: str) -> str:
 
 def compute_im(data: bytes, video_id: str, position: int) -> str:
     """Integrity metadata: hash over (content, video id, position)."""
-    h = hashlib.sha256()
-    h.update(data)
+    return im_from_state(hashlib.sha256(data), video_id, position)
+
+
+def im_from_state(sha, video_id: str, position: int) -> str:
+    """The IM from a SHA-256 state that has absorbed exactly the segment's
+    bytes: a copy is extended with the video id and position, so ``sha``
+    itself is left untouched for its other readers."""
+    h = sha.copy()
     h.update(video_id.encode())
     h.update(position.to_bytes(8, "big"))
     return h.hexdigest()
@@ -196,10 +202,14 @@ class ClientIntegrity:
 
     # -- hooks invoked by the SDK -------------------------------------------------
 
-    def on_cdn_segment(self, sdk, index: int, data: bytes, rendition: str = "") -> None:
-        """CDN download: compute the IM and report it to the server."""
+    def on_cdn_segment(self, sdk, index: int, data: bytes, sha, rendition: str = "") -> None:
+        """CDN download: compute the IM and report it to the server.
+
+        ``sha`` is the SDK's SHA-256 state over exactly ``data``; it is
+        copied, never updated.
+        """
         sdk.stats.hash_bytes += len(data)
-        digest = compute_im(data, content_id(sdk.video_url, rendition), index)
+        digest = im_from_state(sha, content_id(sdk.video_url, rendition), index)
         self.loop.schedule(
             self._compute_delay(len(data)),
             lambda: sdk._post(
@@ -212,6 +222,7 @@ class ClientIntegrity:
         sdk,
         index: int,
         data: bytes,
+        sha,
         deliver: Callable[[bool], None],
         rendition: str = "",
     ) -> None:
@@ -219,7 +230,8 @@ class ClientIntegrity:
 
         Sender-side IM computation and receiver-side verification both
         cost hashing time; the delay covers the pair, which is what the
-        paper's :math:`T_{recv} - T_{send}` measures.
+        paper's :math:`T_{recv} - T_{send}` measures. ``sha`` is the
+        SDK's SHA-256 state over exactly ``data``, copied, never updated.
         """
         self.verifications += 1
         sdk.stats.hash_bytes += len(data)
@@ -228,7 +240,7 @@ class ClientIntegrity:
             """Fetch the SIM and deliver the verification outcome."""
             payload = sdk._post("/v2/sim", {"index": index, "r": rendition})
             cid = content_id(sdk.video_url, rendition)
-            digest = compute_im(data, cid, index)
+            digest = im_from_state(sha, cid, index)
             sim_digest = payload.get("digest")
             signature = payload.get("sig", "")
             ok = (

@@ -193,7 +193,7 @@ def _run_cell(
         base = bed.video_url.rsplit("/", 1)[0] + "/"
         for segment in bed.video.segments:
             attacker_session.sdk.fetch_segment(
-                base, segment.filename, segment.index, lambda data, source: None
+                base, segment.filename, segment.index, lambda data, source, digest: None
             )
     analyzer.run(2.0)
 

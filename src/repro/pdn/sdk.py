@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -33,6 +34,7 @@ from repro.net.clock import EventLoop
 from repro.net.network import Host
 from repro.pdn.policy import ClientPolicy
 from repro.streaming.http import HttpClient
+from repro.streaming.player import SegmentCallback
 from repro.util.errors import SdpError
 from repro.util.rand import DeterministicRandom
 from repro.webrtc.peer_connection import PeerConnection, RtcConfig, SessionDescription
@@ -214,7 +216,7 @@ class _PendingFetch:
     base_url: str  # doubles as the rendition/content tag on the wire
     uri: str
     neighbor_id: str
-    on_done: Callable[[bytes | None, str], None]
+    on_done: SegmentCallback
     requested_at: float = 0.0
     timer: object = None
 
@@ -275,7 +277,10 @@ class PdnClient:
         # Content is keyed by (rendition base URL, index): multi-bitrate
         # streams must never cross-serve between renditions.
         self._cache: dict[tuple[str, int], bytes] = {}
-        self._cdn_digests: dict[tuple[str, int], str] = {}
+        # SHA-256 hex digest of each cached payload, computed once where
+        # the bytes arrived; written and purged with ``_cache`` so the two
+        # share key order.
+        self._digests: dict[tuple[str, int], str] = {}
         # CDN-verified digests of the slow-start window only: this is the
         # reference set the SDK cross-checks neighbor announcements
         # against (the mechanism that defeats *direct* pollution but not
@@ -284,14 +289,15 @@ class PdnClient:
         self._pending: dict[tuple[str, int], _PendingFetch] = {}
         self._fetch_count = 0
         self._reported_up = 0
-        self._upload_window: list[tuple[float, int]] = []
+        # (time, bytes) of uploads served within the last second.
+        self._upload_window: deque[tuple[float, int]] = deque()
         self._timers = []
 
     # -- lifecycle -----------------------------------------------------------
 
     @property
     def signaling_base(self) -> str:
-        """Signaling base."""
+        """HTTPS origin of the provider's signaling server (join, relay, stats)."""
         return f"https://{self.provider.profile.signaling_host}"
 
     def _signaling_headers(self) -> dict[str, str]:
@@ -496,32 +502,31 @@ class PdnClient:
         link = self.neighbors.get(peer_id)
         if link is None or link.banned:
             return
-        for rendition, index in self._cache:
+        for (rendition, index), digest in self._digests.items():
             self._send_control(
-                link,
-                {"type": "have", "r": rendition, "index": index,
-                 "digest": self._digest_of((rendition, index))},
+                link, {"type": "have", "r": rendition, "index": index, "digest": digest}
             )
 
     # -- segment loader interface ---------------------------------------------------
 
     def fetch_playlist(self, url: str, on_done: Callable[[str | None], None]) -> None:
-        """Fetch playlist."""
+        """GET the playlist over HTTP with the page's Origin and Referer."""
         response = self.http.get(url, headers=self._signaling_headers())
         on_done(response.body.decode() if response.ok else None)
 
-    def fetch_segment(
-        self,
-        base_url: str,
-        uri: str,
-        index: int,
-        on_done: Callable[[bytes | None, str], None],
-    ) -> None:
-        """Fetch segment."""
+    def fetch_segment(self, base_url: str, uri: str, index: int, on_done: SegmentCallback) -> None:
+        """Serve a segment from cache, a neighbor, or the CDN.
+
+        The first ``slow_start`` fetches always go to the CDN; later ones
+        go to a random connected neighbor announcing the segment, when
+        the policy lets this connection download. ``on_done`` follows
+        :meth:`SegmentLoader.fetch_segment`: a cache hit passes the digest
+        stored with the bytes, so no path hashes a payload twice.
+        """
         self._fetch_count += 1
         key = (base_url, index)
         if key in self._cache:
-            on_done(self._cache[key], "cache")
+            on_done(self._cache[key], "cache", self._digests[key])
             return
         use_p2p = (
             self.started
@@ -544,25 +549,23 @@ class PdnClient:
 
     # -- CDN path ---------------------------------------------------------------
 
-    def _fetch_from_cdn(
-        self, base_url: str, uri: str, index: int, on_done: Callable[[bytes | None, str], None]
-    ) -> None:
+    def _fetch_from_cdn(self, base_url: str, uri: str, index: int, on_done: SegmentCallback) -> None:
         response = self.http.get(base_url + uri, headers=self._signaling_headers())
         if not response.ok:
-            on_done(None, "cdn")
+            on_done(None, "cdn", None)
             return
         data = response.body
         self.stats.bytes_cdn += len(data)
-        digest = hashlib.sha256(data).hexdigest()
+        sha = hashlib.sha256(data)
+        digest = sha.hexdigest()
         key = (base_url, index)
-        self._cdn_digests[key] = digest
         if len(self._slow_start_digests) < self.slow_start and key not in self._slow_start_digests:
             self._slow_start_digests[key] = digest
             self._check_announcements_against(key, digest)
-        self._store(key, data)
+        self._store(key, data, digest)
         if self.integrity is not None:
-            self.integrity.on_cdn_segment(self, index, data, rendition=base_url)
-        on_done(data, "cdn")
+            self.integrity.on_cdn_segment(self, index, data, sha, rendition=base_url)
+        on_done(data, "cdn", digest)
 
     def _check_announcements_against(self, key: tuple[str, int], authentic_digest: str) -> None:
         """Slow-start consistency check: ban neighbors whose announced
@@ -580,7 +583,7 @@ class PdnClient:
         base_url: str,
         uri: str,
         index: int,
-        on_done: Callable[[bytes | None, str], None],
+        on_done: SegmentCallback,
     ) -> None:
         self.stats.p2p_fetches += 1
         pending = _PendingFetch(index, base_url, uri, link.peer_id, on_done, self.loop.now)
@@ -609,6 +612,8 @@ class PdnClient:
             self.stats.p2p_fallbacks += 1
             self._fetch_from_cdn(pending.base_url, pending.uri, index, pending.on_done)
             return
+        sha = hashlib.sha256(data)
+        digest = sha.hexdigest()
 
         def deliver(verified: bool) -> None:
             """Push a message to the attached client, if any."""
@@ -622,12 +627,12 @@ class PdnClient:
                 self._fetch_from_cdn(pending.base_url, pending.uri, index, pending.on_done)
                 return
             self.stats.record_latency(self.loop.now - pending.requested_at)
-            self._store(key, data)
-            pending.on_done(data, "p2p")
+            self._store(key, data, digest)
+            pending.on_done(data, "p2p", digest)
 
         if self.integrity is not None:
             self.integrity.verify_p2p_segment(
-                self, index, data, deliver, rendition=pending.base_url
+                self, index, data, sha, deliver, rendition=pending.base_url
             )
         else:
             deliver(True)
@@ -680,15 +685,24 @@ class PdnClient:
         self.stats.p2p_requests_served += 1
         self.stats.bytes_p2p_up += len(data)
         link.bytes_up += len(data)
+        self._trim_upload_window()
         self._upload_window.append((self.loop.now, len(data)))
         link.pc.send(DATA_CHANNEL, _data_frame(key, data))
+
+    def _trim_upload_window(self) -> None:
+        """Drop uploads older than one second; simulated time never runs
+        backwards, so a dropped entry could never count again."""
+        window = self._upload_window
+        horizon = self.loop.now - 1.0
+        while window and window[0][0] < horizon:
+            window.popleft()
 
     def _upload_capped(self, size: int) -> bool:
         cap = self.policy.max_upload_bytes_per_sec
         if cap is None:
             return False
-        horizon = self.loop.now - 1.0
-        recent = sum(n for t, n in self._upload_window if t >= horizon)
+        self._trim_upload_window()
+        recent = sum(n for _, n in self._upload_window)
         return recent + size > cap
 
     def _send_control(self, link: NeighborLink, message: dict) -> None:
@@ -698,12 +712,12 @@ class PdnClient:
 
     # -- cache ---------------------------------------------------------------
 
-    def _store(self, key: tuple[str, int], data: bytes) -> None:
+    def _store(self, key: tuple[str, int], data: bytes, digest: str) -> None:
         fresh = key not in self._cache
         self._cache[key] = data
+        self._digests[key] = digest
         self.loop.schedule(_CACHE_TTL, self._purge, key)
         if fresh:
-            digest = hashlib.sha256(data).hexdigest()
             for link in self.neighbors.values():
                 if link.connected:
                     self._send_control(
@@ -712,12 +726,10 @@ class PdnClient:
 
     def _purge(self, key: tuple[str, int]) -> None:
         self._cache.pop(key, None)
-
-    def _digest_of(self, key: tuple[str, int]) -> str:
-        return hashlib.sha256(self._cache[key]).hexdigest()
+        self._digests.pop(key, None)
 
     def cache_bytes(self) -> int:
-        """Cache bytes."""
+        """Bytes of segment payload held in the in-memory cache right now."""
         return sum(len(v) for v in self._cache.values())
 
     # -- housekeeping ---------------------------------------------------------

@@ -24,22 +24,26 @@ from repro.streaming.hls import (
 from repro.streaming.http import HttpClient
 from repro.util.errors import ConfigurationError
 
+#: ``on_done`` of :meth:`SegmentLoader.fetch_segment`: ``(data, source, digest)``.
+SegmentCallback = Callable[[bytes | None, str, str | None], None]
+
 
 class SegmentLoader(Protocol):
     """Fetches playlists and segments on behalf of a player."""
 
     def fetch_playlist(self, url: str, on_done: Callable[[str | None], None]) -> None:
-        """Fetch playlist."""
+        """Fetch the playlist at ``url``; ``on_done`` gets its text, or None on failure."""
         ...  # pragma: no cover
 
-    def fetch_segment(
-        self,
-        base_url: str,
-        uri: str,
-        index: int,
-        on_done: Callable[[bytes | None, str], None],
-    ) -> None:
-        """Fetch segment."""
+    def fetch_segment(self, base_url: str, uri: str, index: int, on_done: SegmentCallback) -> None:
+        """Fetch segment ``index`` from ``base_url + uri``.
+
+        Calls ``on_done(data, source, digest)`` once: ``source`` names
+        where the bytes came from (``"cdn"``, ``"p2p"`` or ``"cache"``)
+        and ``digest`` is the SHA-256 hex digest of exactly ``data``,
+        computed once by the loader where the bytes arrived. A failed
+        fetch passes ``(None, source, None)``.
+        """
         ...  # pragma: no cover
 
 
@@ -50,25 +54,25 @@ class CdnLoader:
         self.http = http
 
     def fetch_playlist(self, url: str, on_done: Callable[[str | None], None]) -> None:
-        """Fetch playlist."""
+        """GET the playlist from the CDN."""
         response = self.http.get(url)
         on_done(response.body.decode() if response.ok else None)
 
-    def fetch_segment(
-        self,
-        base_url: str,
-        uri: str,
-        index: int,
-        on_done: Callable[[bytes | None, str], None],
-    ) -> None:
-        """Fetch segment."""
+    def fetch_segment(self, base_url: str, uri: str, index: int, on_done: SegmentCallback) -> None:
+        """GET the segment from the CDN and hash the body once."""
         response = self.http.get(base_url + uri)
-        on_done(response.body if response.ok else None, "cdn")
+        if not response.ok:
+            on_done(None, "cdn", None)
+            return
+        on_done(response.body, "cdn", hashlib.sha256(response.body).hexdigest())
 
 
 @dataclass
 class PlayedSegment:
-    """PlayedSegment."""
+    """One segment that reached the screen: its index, the SHA-256 hex
+    digest of the bytes the loader delivered for it, where they came from,
+    and the simulated time it played."""
+
     index: int
     digest: str
     source: str  # "cdn" or "p2p"
@@ -77,7 +81,8 @@ class PlayedSegment:
 
 @dataclass
 class PlayerStats:
-    """PlayerStats."""
+    """What one player played, stalled on, skipped and downloaded."""
+
     played: list[PlayedSegment] = field(default_factory=list)
     stalls: int = 0
     stall_time: float = 0.0
@@ -88,7 +93,7 @@ class PlayerStats:
 
     @property
     def p2p_ratio(self) -> float:
-        """P2p ratio."""
+        """Share of downloaded segment bytes that came from peers."""
         total = self.bytes_from_cdn + self.bytes_from_p2p
         return self.bytes_from_p2p / total if total else 0.0
 
@@ -137,7 +142,7 @@ class VideoPlayer:
         self._entries: dict[int, str] = {}  # absolute index -> uri
         self._durations: dict[int, float] = {}  # absolute index -> seconds
         self._end_index: int | None = None  # exclusive, known for VOD
-        self._buffer: dict[int, tuple[bytes, str]] = {}
+        self._buffer: dict[int, tuple[str, str]] = {}  # index -> (digest, source)
         self._inflight: set[int] = set()
         self._fetch_retries: dict[int, int] = {}
         self._skipped: set[int] = set()
@@ -208,7 +213,7 @@ class VideoPlayer:
 
     @property
     def current_rendition(self) -> str | None:
-        """Current rendition."""
+        """Name (or URI) of the rendition being fetched; None without a master playlist."""
         if not self._variants:
             return None
         return self._variants[self._level].name or self._variants[self._level].uri
@@ -255,9 +260,7 @@ class VideoPlayer:
             self._next_fetch += 1
             self._inflight.add(index)
             uri = self._entries[index]
-            self.loader.fetch_segment(
-                self.base_url, uri, index, lambda data, source, i=index: self._on_segment(i, data, source)
-            )
+            self.loader.fetch_segment(self.base_url, uri, index, self._segment_callback(index))
         if not self._playing and (self._buffer or self._inflight or not self._reached_end()):
             self._maybe_start_playback()
 
@@ -310,11 +313,12 @@ class VideoPlayer:
         if uri is None or index < self._play_index:
             return
         self._inflight.add(index)
-        self.loader.fetch_segment(
-            self.base_url, uri, index, lambda data, source, i=index: self._on_segment(i, data, source)
-        )
+        self.loader.fetch_segment(self.base_url, uri, index, self._segment_callback(index))
 
-    def _on_segment(self, index: int, data: bytes | None, source: str) -> None:
+    def _segment_callback(self, index: int) -> SegmentCallback:
+        return lambda data, source, digest: self._on_segment(index, data, source, digest)
+
+    def _on_segment(self, index: int, data: bytes | None, source: str, digest: str | None) -> None:
         self._inflight.discard(index)
         if self._stopped:
             return
@@ -342,7 +346,7 @@ class VideoPlayer:
             # wire, so they stay counted above.
             self._fill_buffer()
             return
-        self._buffer[index] = (data, source)
+        self._buffer[index] = (digest, source)
         self._maybe_start_playback()
         self._fill_buffer()
 
@@ -378,10 +382,8 @@ class VideoPlayer:
         if self._stall_started is not None:
             self.stats.stall_time += self.loop.now - self._stall_started
             self._stall_started = None
-        data, source = entry
-        self.stats.played.append(
-            PlayedSegment(self._play_index, hashlib.sha256(data).hexdigest(), source, self.loop.now)
-        )
+        digest, source = entry
+        self.stats.played.append(PlayedSegment(self._play_index, digest, source, self.loop.now))
         self._abr_on_smooth_segment()
         self._play_index += 1
         self._fill_buffer()

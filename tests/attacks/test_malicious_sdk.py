@@ -42,7 +42,7 @@ def launch_replay_peer(env, bed, integrity):
     # Legitimately download the whole video (recording segments + SIMs).
     base = bed.video_url.rsplit("/", 1)[0] + "/"
     for segment in bed.video.segments:
-        attacker.fetch_segment(base, segment.filename, segment.index, lambda d, s: None)
+        attacker.fetch_segment(base, segment.filename, segment.index, lambda d, s, h: None)
     return attacker
 
 

@@ -11,6 +11,8 @@ The pins run the registry's quick parameterisations at the default seed
 (2024), exactly like ``repro <name> --quick``.
 """
 
+import hashlib
+
 import pytest
 
 import repro.experiments  # noqa: F401  - triggers @experiment registration
@@ -26,6 +28,8 @@ EXPECTED_DIGESTS = {
     "chaos": "9a6263c61366eb2f218951774b52abe7d3d99cc838dd0e84d2c8453f4a6061ae",
     "free-riding": "df04fda8afc60a61e6de459b59a9f905a60626bd978922170f65e1f377c73d39",
     "ip-leak": "d1e25aff850b76b34b43c9efd0e687c240f167ed087414101c7c8b595a6fe4b4",
+    "propagation": "855d687406c8a9b8e40b069cd8f7800cae094d2a60e72cda7b8dbe1cd273a4a0",
+    "risk-matrix": "af1289603c0ca457d3f6eefcaba4144e3e7ce88feb116c7294eb559293143c40",
     "scenario-matrix": "3e4c8b8a0746d3a67c85ca14fa68fd5cf342f015e35a4c1d908f0e7653c3a6eb",
 }
 
@@ -59,6 +63,15 @@ EXPECTED_IP_LEAK_DIGESTS = {
         None,
     ),
 }
+
+#: Quick im-checking at seed 2024: its digest, and the most SHA-256
+#: passes over segment-sized inputs it may make. That is one pass per
+#: (peer, segment) received: 3 plain viewers x 4 segments plus 2 PDN
+#: groups x 6 peers x 4 segments. Each hook, the "have" announcements
+#: and the player read the one hash taken where the bytes arrived.
+EXPECTED_IM_CHECKING_DIGEST = "f4c52917ec3ddf139334c5762953adc375507ad067d04b679554e4e49a3d0dbe"
+IM_CHECKING_HASH_BUDGET = 60
+SEGMENT_SIZED = 1_000_000  # bytes; segments are 3 MB, DTLS records 16 KB
 
 PIN_SEED = 2024
 
@@ -138,3 +151,55 @@ class TestIpLeakPins:
         )
         if event_budget is not None:
             assert record.events_fired <= event_budget
+
+
+def _counting_sha256():
+    """A ``hashlib.sha256`` stand-in that counts passes over segment-sized
+    inputs. It also serves ``hmac.new`` as a digestmod (constructor,
+    ``update``, ``copy``, ``digest``, ``block_size``, ``digest_size``)."""
+    real = hashlib.sha256
+
+    class CountingSha256:
+        name = "sha256"
+        block_size = real().block_size
+        digest_size = real().digest_size
+        passes = 0
+
+        def __init__(self, data=b"", **kwargs):
+            self._state = real(**kwargs)
+            self.update(data)
+
+        def update(self, data):
+            if len(data) >= SEGMENT_SIZED:
+                CountingSha256.passes += 1
+            self._state.update(data)
+
+        def copy(self):
+            clone = CountingSha256.__new__(CountingSha256)
+            clone._state = self._state.copy()
+            return clone
+
+        def digest(self):
+            return self._state.digest()
+
+        def hexdigest(self):
+            return self._state.hexdigest()
+
+    return CountingSha256
+
+
+class TestImCheckingHashBudget:
+    def test_quick_run_hashes_each_received_segment_once(self, monkeypatch):
+        counting = _counting_sha256()
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        params = registry.get("im-checking").resolve_params(quick=True)
+        outcome = execute_spec("im-checking", PIN_SEED, params)
+        assert outcome.record.ok, outcome.record.error
+        assert outcome.record.result_digest == EXPECTED_IM_CHECKING_DIGEST, (
+            "im-checking drifted from its pinned digest — if the change is "
+            "intentional, update EXPECTED_IM_CHECKING_DIGEST"
+        )
+        assert counting.passes <= IM_CHECKING_HASH_BUDGET, (
+            f"{counting.passes} SHA-256 passes over segments; one per "
+            f"(peer, segment) received is {IM_CHECKING_HASH_BUDGET}"
+        )

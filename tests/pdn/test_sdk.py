@@ -1,11 +1,13 @@
 """Integration tests for the PDN client SDK (hybrid loader)."""
 
+import hashlib
+
 import pytest
 
 from repro.environment import Environment
 from repro.pdn.policy import CellularPolicy, ClientPolicy
 from repro.pdn.provider import PEER5, PdnProvider
-from repro.pdn.sdk import PdnClient
+from repro.pdn.sdk import NeighborLink, PdnClient
 from repro.streaming.cdn import CdnEdge, OriginServer, vod_playlist_url
 from repro.streaming.player import VideoPlayer
 from repro.streaming.video import make_video
@@ -144,6 +146,45 @@ class TestUploadPolicies:
         world.run(160.0)
         assert sdk_a.stats.bytes_p2p_up <= 100_000  # at most one uncapped miss-window
         assert player_b.finished
+
+    def test_upload_window_keeps_only_the_last_second(self):
+        world = World()
+        capped = ClientPolicy(max_upload_bytes_per_sec=400_000)  # eight segments
+        sdk_a, _ = world.viewer("capped", policy=capped)
+        served_at = []
+        serve = sdk_a._serve_request
+
+        def recording_serve(link, key):
+            served_at.append(world.env.loop.now)
+            serve(link, key)
+
+        sdk_a._serve_request = recording_serve
+        world.run(6.0)
+        world.viewer("bob")
+        world.run(120.0)
+        assert sdk_a.stats.p2p_requests_served >= 2
+        assert max(served_at) - min(served_at) > 1.0
+        window = list(sdk_a._upload_window)
+        assert window
+        assert all(t >= window[-1][0] - 1.0 for t, _ in window)
+        assert len(window) < sdk_a.stats.p2p_requests_served
+
+
+class TestCacheAnnouncements:
+    def test_late_neighbor_hears_exactly_the_cached_segments(self):
+        world = World(segments=40)  # 160 s of video outlives the 120 s cache TTL
+        sdk_a, _ = world.viewer("alice")
+        world.run(150.0)
+        base = world.video_url.rsplit("/", 1)[0] + "/"
+        assert (base, 0) not in sdk_a._cache and sdk_a._cache
+        sent = []
+        sdk_a._send_control = lambda link, message: sent.append(message)
+        sdk_a.neighbors["late"] = NeighborLink("late", pc=None, initiated=False)
+        sdk_a._on_neighbor_connected("late")
+        assert [(m["r"], m["index"]) for m in sent] == list(sdk_a._cache)
+        assert [m["digest"] for m in sent] == [
+            hashlib.sha256(data).hexdigest() for data in sdk_a._cache.values()
+        ]
 
 
 class TestTopology:

@@ -1,5 +1,7 @@
 """Tests for the buffered HLS player."""
 
+import hashlib
+
 import pytest
 
 from repro.net.clock import EventLoop
@@ -165,7 +167,8 @@ class TestSeeking:
         player.seek(5)  # may synchronously fetch ahead; snapshot after it
         bytes_before = player.stats.bytes_from_cdn
         player._inflight.add(stale)
-        player._on_segment(stale, b"x" * 77, "cdn")
+        payload = b"x" * 77
+        player._on_segment(stale, payload, "cdn", hashlib.sha256(payload).hexdigest())
         assert player.stats.bytes_from_cdn == bytes_before + 77
         assert stale not in player._buffer
         loop.run(60.0)
