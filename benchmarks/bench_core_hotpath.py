@@ -166,8 +166,8 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
     Runs one :class:`~repro.net.shard.SwarmWorkload` at each worker
     count in ``ladder`` and refuses to report if the K-invariant digests
     disagree — every bench run doubles as a PDES correctness check. The
-    headline ``events_per_sec`` (what the CI gate compares) comes from
-    the last rung; ``workers`` holds every rung so the committed
+    headline ``datagrams_per_sec`` (what the CI gate compares) comes
+    from the last rung; ``workers`` holds every rung so the committed
     baseline records the workers-N-vs-1 speedup and per-worker RSS.
     Note the speedup is only meaningful on a box with >= ladder[-1]
     cores — ``cpus`` in the top-level report says what this run had.
@@ -282,21 +282,28 @@ def run_suite(smoke: bool = False, scenarios: list[str] | None = None,
 
 
 def compare(report: dict, baseline: dict, threshold: float = 0.30) -> list[str]:
-    """Regressions >``threshold`` in events/sec vs the baseline, per scenario.
+    """Regressions >``threshold`` in throughput vs the baseline, per scenario.
 
-    Only scenarios present in both reports are compared, so a smoke run
-    checks against a committed full-run baseline.
+    A scenario that moves datagrams is gated on ``datagrams_per_sec``,
+    the work it does. Events per datagram is a property of the code, not
+    of the workload, so on events/sec a change that fires fewer events
+    for the same datagrams would read as a slowdown. ``events_loop``
+    moves no datagrams and keeps ``events_per_sec``. Only scenarios present in both reports are
+    compared, so a smoke run checks against a committed full-run
+    baseline.
     """
     failures = []
     for name, current in report["scenarios"].items():
         base = baseline.get("scenarios", {}).get(name)
         if base is None:
             continue
-        base_rate = base.get("events_per_sec", 0.0)
-        rate = current.get("events_per_sec", 0.0)
+        metric = "datagrams_per_sec" if "datagrams_per_sec" in base else "events_per_sec"
+        base_rate = base.get(metric, 0.0)
+        rate = current.get(metric, 0.0)
         if base_rate > 0 and rate < base_rate * (1.0 - threshold):
+            unit = metric.replace("_per_sec", "/sec")
             failures.append(
-                f"{name}: {rate:,.0f} events/sec is "
+                f"{name}: {rate:,.0f} {unit} is "
                 f"{(1 - rate / base_rate) * 100:.0f}% below baseline {base_rate:,.0f}"
             )
     return failures
@@ -340,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", type=pathlib.Path, default=None,
                         help="baseline BENCH_core.json to compare against")
     parser.add_argument("--threshold", type=float, default=0.30,
-                        help="fractional events/sec regression that fails the check")
+                        help="fractional throughput regression (datagrams/sec, or "
+                             "events/sec for events_loop) that fails the check")
     parser.add_argument("--shard-workers", type=int, default=None, metavar="N",
                         help="run sharded scenarios at exactly N workers instead "
                              "of their ladder (CI diffs digests across runs)")

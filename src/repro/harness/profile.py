@@ -38,9 +38,12 @@ def callsite_of(callback) -> str:
 def callback_of(handle) -> object:
     """The fired callback behind a sink's ``handle`` argument.
 
-    Sinks see either a :class:`~repro.net.clock.TimerHandle` or the
-    anonymous ``(when, seq, callback, args)`` heap entry
-    ``EventLoop.schedule_fast`` pushes for the datagram fast path.
+    Sinks see either a :class:`~repro.net.clock.TimerHandle` or, for a
+    datagram delivery, the anonymous ``(when, seq, callback, args)``
+    entry whose callback is the network's delivery method. A delivery
+    that went to the heap is queued in that shape, and one drained from
+    the wheel's batched columns is presented in it, so both tiers name
+    the same site.
     """
     return handle[2] if type(handle) is tuple else handle.callback
 

@@ -17,6 +17,13 @@ fire one event per delivery), so the scheduler is two-tier:
   timers, repeating :meth:`EventLoop.call_every` handles, and wheel
   overflow.
 
+The wheel only pays once buckets fill, so it follows queue depth: an
+entry goes on the wheel only while the loop holds at least ``2 *
+slots`` live entries (the *depth gate*). A shallower loop pushes
+straight onto the heap, which then skips the wheel's empty-slot
+probing and one-row batched drains (``docs/PERFORMANCE.md`` has the
+measurements behind the gate).
+
 Dispatch merges the two tiers by ``(when, seq)``, so event order — and
 therefore every seed-pinned digest — is bit-identical to a pure-heap
 loop (``tests/chaos/test_timing_wheel.py`` proves the equivalence
@@ -83,6 +90,11 @@ class TimerHandle:
         # loop's live-event counter exact without a queue scan.
         self._loop: "EventLoop | None" = None
 
+    @property
+    def queued(self) -> bool:
+        """True from scheduling until the event fires or is cancelled."""
+        return self._loop is not None
+
     def cancel(self) -> None:
         """Mark the event cancelled; the loop skips it when it surfaces."""
         if self.cancelled:
@@ -139,10 +151,11 @@ class EventLoop:
     """A two-tier (timing wheel + binary heap) discrete-event scheduler.
 
     The wheel covers ``[_wheel_tick * width, (_wheel_tick + slots) *
-    width)``: an entry whose bucket index (``int(when / width)``) falls
-    in that window is appended to its bucket in O(1); everything else —
-    including every entry while the wheel is disabled — goes to the
-    heap. At dispatch time the next due bucket is *collected*: sorted
+    width)``: once the loop is past the depth gate, an entry whose
+    bucket index (``int(when / width)``) falls in that window is
+    appended to its bucket in O(1); everything else — every entry of a
+    shallow loop, and every entry while the wheel is disabled — goes to
+    the heap. At dispatch time the next due bucket is *collected*: sorted
     descending by ``(when, seq)`` into ``_cursor`` so ``cursor.pop()``
     yields events in ascending order, then merged entry-by-entry
     against the heap top. Buckets partition time, so every uncollected
@@ -171,7 +184,7 @@ class EventLoop:
     __slots__ = (
         "now", "_heap", "_seq", "_events_fired", "_live",
         "_wheel", "_cursor", "_wheel_tick", "_wheel_count",
-        "_wheel_width", "_wheel_inv", "_wheel_slots",
+        "_wheel_width", "_wheel_inv", "_wheel_slots", "_wheel_gate",
         "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback",
         "wheel_scheduled", "wheel_overflow",
         "wheel_batched", "wheel_batch_drains",
@@ -207,6 +220,9 @@ class EventLoop:
         self._wheel_width = 0.0
         self._wheel_inv = 0.0
         self._wheel_slots = 0
+        #: Live entries the loop must hold before the wheel takes one
+        #: (``2 * slots``; 0 while the wheel is disabled).
+        self._wheel_gate = 0
         # -- batched datagram columns (see the class docstring) --------
         self._bwhen: list = []
         self._bseq: list = []
@@ -254,8 +270,9 @@ class EventLoop:
         ``drain(deadline, budget) -> fired`` is invoked by the fire
         kernel whenever the cursor's minimum is a batched 6-field row: it
         must pop and fire consecutive due rows (merging per item against
-        the heap top and honouring ``deadline``/``budget``) and return
-        how many it fired. ``callback`` is the representative
+        the heap top, where it may fire a heap-top entry carrying
+        ``callback`` itself, and honouring ``deadline``/``budget``) and
+        return how many it fired. ``callback`` is the representative
         per-datagram callable — what a classic entry would have carried
         — used to synthesize legacy-shaped entries for sinks, the trace
         hook, flushes to the heap, and :meth:`_iter_queued` (see
@@ -321,6 +338,8 @@ class EventLoop:
     ) -> None:
         """Resize the wheel; ``bucket_width=None`` or ``slots=0`` disables it.
 
+        The depth gate follows the geometry: ``2 * slots`` live entries,
+        about four per bucket across a band that fills half the wheel.
         Safe mid-run: bucket-resident entries are flushed to the heap
         and dispatch merges the tiers by ``(when, seq)``, so event order
         is unchanged. The already-collected cursor is left in place for
@@ -345,6 +364,7 @@ class EventLoop:
             self._wheel_width = 0.0
             self._wheel_inv = 0.0
             self._wheel_slots = 0
+            self._wheel_gate = 0
             self._wheel_tick = 0
         else:
             self._wheel = [[] for _ in range(slots)]
@@ -354,6 +374,7 @@ class EventLoop:
             self._wheel_width = bucket_width
             self._wheel_inv = 1.0 / bucket_width
             self._wheel_slots = slots
+            self._wheel_gate = 2 * slots
             self._wheel_tick = int(self.now * self._wheel_inv)
         self._wheel_count = 0
 
@@ -387,7 +408,16 @@ class EventLoop:
     # -- scheduling ------------------------------------------------------
 
     def _enqueue(self, entry: tuple) -> None:
-        """Route one ``(when, seq, …)`` entry to the wheel or the heap."""
+        """Route one ``(when, seq, …)`` entry to the wheel or the heap.
+
+        The caller has already counted the entry in ``_live``. Below the
+        depth gate it goes straight to the heap and is not overflow:
+        the wheel was skipped, not missed. (A disabled wheel's gate is
+        0, so its entries keep counting as overflow.)
+        """
+        if self._live <= self._wheel_gate:
+            heappush(self._heap, entry)
+            return
         tick = int(entry[0] * self._wheel_inv)
         if 0 <= tick - self._wheel_tick < self._wheel_slots:
             self._wheel[tick % self._wheel_slots].append(entry)
@@ -413,15 +443,21 @@ class EventLoop:
     def _push_datagram(self, when: float, host: Any, port: int, payload: bytes, src: Any) -> None:
         """Queue one datagram delivery: the network data plane's enqueue.
 
-        In-band deliveries take three O(1) appends into the slot's
-        reused column rings, so no per-datagram entry tuple survives to
-        the old GC generations; everything else (fault impairments,
-        uplink queueing spikes, a disabled wheel) falls through to
-        :meth:`_overflow` as a classic entry carrying the plane's
-        callback. Like :meth:`schedule_fast`, the caller guarantees
-        ``when >= now`` and the delivery cannot be cancelled.
+        Past the depth gate, in-band deliveries take three O(1) appends
+        into the slot's reused column rings, so no per-datagram entry
+        tuple survives to the old GC generations; everything else (fault
+        impairments, uplink queueing spikes, a disabled wheel) falls
+        through to :meth:`_overflow` as a classic entry carrying the
+        plane's callback. Below the gate every delivery is such a
+        classic entry, pushed straight onto the heap as in
+        :meth:`_enqueue`. The caller guarantees ``when >= now``, and the
+        delivery cannot be cancelled.
         """
         self._live += 1
+        if self._live <= self._wheel_gate:
+            heappush(self._heap, (when, next(self._seq), self._dg_callback,
+                                  (host, port, payload, src)))
+            return
         tick = int(when * self._wheel_inv)
         if 0 <= tick - self._wheel_tick < self._wheel_slots:
             slot = tick % self._wheel_slots
@@ -447,23 +483,6 @@ class EventLoop:
         handle = TimerHandle(self.now + delay, callback, args)
         self._push(handle)
         return handle
-
-    def schedule_fast(self, when: float, callback: Callable[..., Any], args: tuple) -> None:
-        """Trusted fast path for hot callers: anonymous, not cancellable.
-
-        For callers that schedule one event per work item, such as the
-        sharded swarm's send pump; this skips :meth:`schedule`'s bounds
-        check and the whole :class:`TimerHandle` allocation — the queue
-        entry itself becomes a ``(when, seq, callback, args)`` 4-tuple
-        the fire kernel special-cases by length (one container
-        allocation per event instead of two, which also halves this
-        path's GC pressure). The caller guarantees ``when >= now`` and
-        gets no handle back, so the event cannot be cancelled. In-band
-        entries take an O(1) bucket append instead of an O(log n) heap
-        sift. Datagram deliveries use :meth:`_push_datagram` instead.
-        """
-        self._live += 1
-        self._enqueue((when, next(self._seq), callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> TimerHandle:
         """Run ``callback(*args)`` at absolute time ``when``."""
@@ -560,11 +579,10 @@ class EventLoop:
         comparison (seq is unique, so the comparison never reaches the
         callback element). A 6-field batched row at the cursor top hands
         the whole run of due rows to the datagram plane's drain in one
-        frame, with the remaining budget. Anonymous 4-tuples (from
-        :meth:`schedule_fast` and overflowing datagrams)
-        skip the cancelled check and handle bookkeeping, and sinks
-        receive the raw 4-tuple for them (see
-        ``repro.harness.profile.callback_of``). The fired count is
+        frame, with the remaining budget. Anonymous 4-tuples (datagram
+        deliveries that went to the heap) skip the cancelled check and
+        handle bookkeeping, and sinks receive the raw 4-tuple for them
+        (see ``repro.harness.profile.callback_of``). The fired count is
         flushed to ``events_fired`` in a ``finally``, so the counter is
         only guaranteed current *between* drains — no in-tree callback
         reads it mid-drain.

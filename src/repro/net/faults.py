@@ -20,16 +20,20 @@ result can always be traced back to the exact chaos that produced it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.streaming.http import HttpRequest, HttpResponse
 from repro.util.errors import ConfigurationError
 from repro.util.rand import DeterministicRandom
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.net.clock import TimerHandle
     from repro.net.network import Host, Network
 
 
@@ -325,6 +329,11 @@ class FaultInjector:
         self._partitions: dict[tuple[str, str], int] = {}
         self._outages: dict[str, int] = {}
         self._link_busy: dict[tuple[str, str], float] = {}
+        #: Every plan event, heal and rejoin this injector queued, as a
+        #: ``(when, order, handle)`` heap; :meth:`next_change` drops the
+        #: entries whose handles have fired.
+        self._timers: list[tuple[float, int, TimerHandle]] = []
+        self._timer_order = itertools.count()
         network.faults = self
         if urlspace is not None:
             urlspace.add_interceptor(self._intercept_http)
@@ -335,8 +344,26 @@ class FaultInjector:
         """Schedule every event of ``plan`` relative to the loop's now."""
         self.plans.append(plan)
         for event in plan.events:
-            self.loop.schedule(event.at, self._apply, event)
+            self._schedule(event.at, self._apply, event)
         return self
+
+    def _schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Queue one plan event or heal timer and keep its handle."""
+        handle = self.loop.schedule(delay, callback, *args)
+        heappush(self._timers, (handle.when, next(self._timer_order), handle))
+
+    def next_change(self) -> float:
+        """The instant of the earliest queued plan event, heal or rejoin.
+
+        ``inf`` once none is queued. Only these timers change what
+        :meth:`host_is_down` and :meth:`conditions_for` answer, so a
+        caller may treat those answers as fixed until this instant —
+        which is how the sharded swarm replays its sends in bulk.
+        """
+        timers = self._timers
+        while timers and not timers[0][2].queued:
+            heappop(timers)
+        return timers[0][0] if timers else math.inf
 
     def add_listener(self, listener: Callable[[FaultNotice], None]) -> None:
         """Register a churn-notification callback (SDKs, players, tests)."""
@@ -367,8 +394,8 @@ class FaultInjector:
         blocked = LinkConditions(blocked=True)
         self._link_conditions.setdefault(key, []).append(blocked)
         self._emit("link_down", detail=f"{event.a}<->{event.b}")
-        self.loop.schedule(event.duration, self._heal_link, key, blocked,
-                           f"{event.a}<->{event.b}")
+        self._schedule(event.duration, self._heal_link, key, blocked,
+                       f"{event.a}<->{event.b}")
 
     def _heal_link(self, key: tuple[str, str], conditions: LinkConditions,
                    detail: str) -> None:
@@ -383,14 +410,14 @@ class FaultInjector:
         if event.b is None:
             self._host_conditions.setdefault(event.a, []).append(event.conditions)
             self._emit("degrade", host=event.a, detail="all links")
-            self.loop.schedule(event.duration, self._heal_degrade_host,
-                               event.a, event.conditions)
+            self._schedule(event.duration, self._heal_degrade_host,
+                           event.a, event.conditions)
         else:
             key = _pair_key(event.a, event.b)
             self._link_conditions.setdefault(key, []).append(event.conditions)
             self._emit("degrade", detail=f"{event.a}<->{event.b}")
-            self.loop.schedule(event.duration, self._heal_link, key,
-                               event.conditions, f"{event.a}<->{event.b}")
+            self._schedule(event.duration, self._heal_link, key,
+                           event.conditions, f"{event.a}<->{event.b}")
 
     def _heal_degrade_host(self, name: str, conditions: LinkConditions) -> None:
         stack = self._host_conditions.get(name, [])
@@ -413,7 +440,7 @@ class FaultInjector:
         host._uplink_busy_until = 0.0
         self._emit("host_down", host=host.name, public_ips=(host.public_ip,))
         if event.down_for is not None:
-            self.loop.schedule(event.down_for, self._rejoin_host, host.name)
+            self._schedule(event.down_for, self._rejoin_host, host.name)
 
     def _rejoin_host(self, name: str) -> None:
         host = self._host(name)
@@ -440,7 +467,7 @@ class FaultInjector:
         key = _pair_key(event.region_a, event.region_b)
         self._partitions[key] = self._partitions.get(key, 0) + 1
         self._emit("partition", detail=f"{key[0]}|{key[1]}")
-        self.loop.schedule(event.duration, self._heal_partition, key)
+        self._schedule(event.duration, self._heal_partition, key)
 
     def _heal_partition(self, key: tuple[str, str]) -> None:
         count = self._partitions.get(key, 0) - 1
@@ -454,7 +481,7 @@ class FaultInjector:
         hostname = event.hostname.lower()
         self._outages[hostname] = self._outages.get(hostname, 0) + 1
         self._emit("outage", detail=hostname)
-        self.loop.schedule(event.duration, self._heal_outage, hostname)
+        self._schedule(event.duration, self._heal_outage, hostname)
 
     def _heal_outage(self, hostname: str) -> None:
         count = self._outages.get(hostname, 0) - 1
@@ -498,15 +525,19 @@ class FaultInjector:
         return combined
 
     def link_queue_delay(self, src: "Host", dst: "Host", size: int,
-                         conditions: LinkConditions) -> float:
-        """Serialisation + queueing through a throttled link."""
+                         conditions: LinkConditions, now: float) -> float:
+        """Serialisation + queueing through a throttled link.
+
+        ``now`` is the send's instant: the loop's clock for a live send,
+        a program row's time for a replayed sharded send.
+        """
         rate = conditions.bandwidth_bytes_per_sec
         if rate is None or rate <= 0:
             return 0.0
         key = _pair_key(src.name, dst.name)
-        start = max(self.loop.now, self._link_busy.get(key, 0.0))
+        start = max(now, self._link_busy.get(key, 0.0))
         self._link_busy[key] = start + size / rate
-        return self._link_busy[key] - self.loop.now
+        return self._link_busy[key] - now
 
     # -- HTTP interception -----------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from heapq import heappop
 from typing import Callable
 
 from repro.net.addresses import Endpoint, int_to_ip, ip_to_int
@@ -104,7 +105,13 @@ class UdpSocket:
         return Endpoint(self.host.ip, self.port)
 
     def send(self, dst: Endpoint, payload: bytes) -> None:
-        """Send."""
+        """Send ``payload`` to ``dst`` from this socket's port.
+
+        Counts the bytes in :attr:`bytes_sent` and hands the datagram to
+        :meth:`Network.send_datagram`, which translates through the
+        host's NAT, records captures, and drops or schedules delivery.
+        Raises :class:`~repro.util.errors.NetworkError` once closed.
+        """
         if self.closed:
             raise NetworkError(f"socket {self.endpoint} is closed")
         self.bytes_sent += len(payload)
@@ -197,7 +204,11 @@ class Host:
         return sock
 
     def release_port(self, port: int) -> None:
-        """Release port."""
+        """Unbind ``port`` so it can be bound again; unbound ports are ignored.
+
+        :meth:`UdpSocket.close` calls this. Datagrams still in flight to
+        the port are then dropped at delivery as ``no_socket``.
+        """
         self.sockets.pop(port, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
@@ -337,7 +348,13 @@ class Network:
     # -- topology --------------------------------------------------------
 
     def allocate_public_ip(self) -> str:
-        """Allocate public ip."""
+        """Return the next public address from a counter starting at 5.0.0.1.
+
+        Public hosts and NAT boxes created without an explicit address
+        take theirs from here, and so does a NAT rebind's fresh mapping.
+        The counter never returns the same address twice; it does not
+        skip addresses that callers assigned explicitly.
+        """
         ip = int_to_ip(self._next_public_ip)
         self._next_public_ip += 1
         return ip
@@ -554,7 +571,8 @@ class Network:
             delay += self._uplink_queue_delay(src_host, len(payload))
         if conditions is not None:
             delay += conditions.extra_latency
-            delay += faults.link_queue_delay(src_host, dest_host, len(payload), conditions)
+            delay += faults.link_queue_delay(src_host, dest_host, len(payload), conditions,
+                                             self.loop.now)
         self.datagrams_in_flight += 1
         loop = self.loop
         loop._push_datagram(loop.now + delay, dest_host, dest_port, payload, wire_src)
@@ -612,9 +630,12 @@ class Network:
         and one call frame here drains every *consecutive* due row —
         merging per item against the heap top and honouring ``deadline``
         and ``budget``, so dispatch order and ``run_until``/``run_all``/
-        ``step`` semantics stay bit-identical to a pure-heap loop.
-        Returns the number of rows fired (0 only when the cursor minimum
-        lies beyond ``deadline``).
+        ``step`` semantics stay bit-identical to a pure-heap loop. A
+        heap-top delivery that falls inside the run (one queued while
+        the loop was below the wheel's depth gate) fires here too, in
+        its ``(when, seq)`` place; any other heap entry ends the run.
+        Returns the number of deliveries fired (0 only when the cursor
+        minimum lies beyond ``deadline``).
 
         Accounting (``loop._live``, ``datagrams_in_flight``,
         ``datagrams_delivered``) accumulates in locals and is flushed
@@ -637,15 +658,21 @@ class Network:
         prev_host: Host | None = None
         prev_port = -1
         sock: UdpSocket | None = None
+        callback = self._deliver_cb
         try:
             while fired < budget and cursor:
                 top = cursor[-1]
                 if len(top) != 6 or top[0] > deadline:
                     break
                 if heap and heap[0] < top:
-                    break
-                cursor.pop()
-                when, _, host, port, payload, src = top
+                    top = heap[0]
+                    if top[2] is not callback:
+                        break
+                    heappop(heap)
+                    when, _, _, (host, port, payload, src) = top
+                else:
+                    cursor.pop()
+                    when, _, host, port, payload, src = top
                 fired += 1
                 live += 1
                 in_flight += 1
@@ -659,7 +686,7 @@ class Network:
                 entry = None
                 trace = EventLoop._trace
                 if trace is not None:
-                    entry = loop._datagram_entry(top)
+                    entry = top if len(top) == 4 else loop._datagram_entry(top)
                     trace(loop, entry)
                 if host is not prev_host or port != prev_port:
                     prev_host = host
@@ -692,7 +719,7 @@ class Network:
                 sinks = EventLoop._sinks
                 if sinks:
                     if entry is None:
-                        entry = loop._datagram_entry(top)
+                        entry = top if len(top) == 4 else loop._datagram_entry(top)
                     for s in sinks:
                         s.record(loop, entry)
         finally:
@@ -823,11 +850,12 @@ class ShardNetwork(Network):
 
     # -- sharded data plane ----------------------------------------------
 
-    def send_indexed(self, src_idx: int, dst_idx: int, u_latency: float, u_fault: float) -> None:
-        """Send one swarm datagram from viewer ``src_idx`` to ``dst_idx``.
+    def send_indexed(self, src_idx: int, dst_idx: int, u_latency: float, u_fault: float,
+                     at: float) -> None:
+        """Send one swarm datagram from viewer ``src_idx`` to ``dst_idx`` at ``at``.
 
         Follows :meth:`send_datagram`'s fault checks, latency
-        computation and datagram enqueue, with three deliberate
+        computation and datagram enqueue, with four deliberate
         differences. (1) Randomness comes from the caller's pre-drawn
         uniforms, not ``self.rand`` — the same draws feed the same send
         at any worker count. (2) The global ``loss_rate`` trial and
@@ -838,6 +866,11 @@ class ShardNetwork(Network):
         sent here and enters ``datagrams_in_flight`` only on the owning
         shard at injection time, so the *global* conservation invariant
         ``sent == delivered + dropped + in_flight`` holds after merge.
+        (4) The send happens at ``at``, the caller's instant, not at the
+        loop's ``now``: a shard replays a stretch of its traffic program
+        before its loop fires that stretch's deliveries (see
+        ``ShardWorker.run_window``), so ``at >= loop.now`` and the loop
+        clock is never touched here.
         """
         self.datagrams_sent += 1
         if not self.datagrams_sent & (AUTO_RETUNE_CHECK_INTERVAL - 1):
@@ -878,8 +911,8 @@ class ShardNetwork(Network):
             # Stateful, but K-invariant: all sends for an ordered host
             # pair originate on the sender's shard in time order, so the
             # per-pair busy clock replays identically at any K.
-            delay += faults.link_queue_delay(src_host, dst_ref, len(payload), conditions)
-        when = self.loop.now + delay
+            delay += faults.link_queue_delay(src_host, dst_ref, len(payload), conditions, at)
+        when = at + delay
 
         dst_shard = (dst_idx % len(self.regions)) % self.num_shards
         if dst_shard != self.shard_id:

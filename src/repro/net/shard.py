@@ -11,7 +11,10 @@ time-window protocol:
   **lookahead** ``L = max(0.001, cross_region_latency - jitter)``;
 * each shard therefore runs its :class:`~repro.net.clock.EventLoop`
   freely up to the next window barrier ``W_k = W_{k-1} + L`` — nothing
-  another shard does during the window can schedule an event inside it;
+  another shard does during the window can schedule an event inside it
+  — replaying its precomputed sends in bulk between fault changes
+  (:meth:`ShardWorker.run_window`), so a datagram costs one loop event,
+  its delivery;
 * at the barrier, shards exchange their egress columns (the PR 9
   array-of-columns record layout — parallel ``when``/``dst``/``src``
   arrays, no per-datagram objects on the wire) over pipes, and each
@@ -50,16 +53,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
+import traceback
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from sys import maxsize as _MAX_EVENTS
 
 from repro.net.clock import EventLoop
 from repro.net.faults import FaultInjector, FaultPlan, RandomFaultPlanner, load_plan
 from repro.net.network import Host, RemoteHostRef, ShardNetwork
 from repro.scenarios.arrivals import FlashCrowdArrivals
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ShardWorkerError
 from repro.util.perf import peak_rss_kb
 from repro.util.rand import DeterministicRandom
 
@@ -219,7 +226,7 @@ def _region_program(workload: SwarmWorkload, region_index: int) -> _TrafficProgr
             spike_width_sec=max(window * 0.1, 0.001),
         )
         flash_times = process.times(rand, window)
-        if not flash_times:  # degenerate tiny windows: keep the pump alive
+        if not flash_times:  # degenerate tiny windows: keep one send time
             flash_times = [window * 0.5]
 
     when = program.when
@@ -265,8 +272,8 @@ def _shard_program(workload: SwarmWorkload, shard_id: int, num_shards: int) -> _
 
     Owned regions concatenate in ascending region order at every K, so
     the stable time sort leaves equal-time sends in the same relative
-    order a single shard owning all regions would produce — the pump
-    chain then executes sends in an order independent of K.
+    order a single shard owning all regions would produce — the window
+    replay then executes sends in an order independent of K.
     """
     merged = _TrafficProgram()
     for region_index in range(len(workload.regions)):
@@ -336,7 +343,7 @@ class ShardFaultInjector(FaultInjector):
 
 
 class ShardWorker:
-    """One shard: its network slice, traffic pump and fault injector."""
+    """One shard: its network slice, traffic program and fault injector."""
 
     def __init__(self, workload: SwarmWorkload, shard_id: int, num_shards: int) -> None:
         self.workload = workload
@@ -365,35 +372,69 @@ class ShardWorker:
         self.faults: ShardFaultInjector | None = None
         plan = build_fault_plan(workload)
         if len(plan):
-            # Armed before the pump starts, so fault events' sequence
-            # numbers precede every send's — at an exact time tie the
-            # fault applies first, at any worker count.
             self.faults = ShardFaultInjector(self.net, rand.fork("shard-faults"))
             self.faults.arm(plan)
         self.program = _shard_program(workload, shard_id, num_shards)
-        self._cursor = 0
+        #: Index of the first program row not yet sent.
+        self._next_send = 0
         self.peak_occupancy = 0
-        if len(self.program):
-            self.loop.schedule_fast(self.program.when[0], self._pump, ())
 
-    def _pump(self) -> None:
-        """Execute one precomputed send, then chain to the next."""
-        program = self.program
-        i = self._cursor
-        self._cursor = i + 1
-        self.net.send_indexed(
-            program.src[i], program.dst[i], program.u_latency[i], program.u_fault[i]
-        )
-        i += 1
-        if i < len(program.when):
-            self.loop.schedule_fast(program.when[i], self._pump, ())
+    @property
+    def pending(self) -> int:
+        """Queued loop events plus program sends not yet replayed."""
+        return self.loop.pending + len(self.program) - self._next_send
 
     def run_window(self, barrier: float, max_events: int | None = None) -> int:
-        """Advance this shard to ``barrier``; returns events fired."""
-        occupancy = self.loop.wheel_occupancy
+        """Advance this shard to ``barrier``; returns loop events fired.
+
+        Sends are not loop events: the traffic program's rows due by the
+        barrier go straight through
+        :meth:`~repro.net.network.ShardNetwork.send_indexed`, each at its
+        row's instant, and the loop then fires what they queued. Only the
+        fault injector's timers change what a send reads, so the replay
+        is cut at each of them
+        (:meth:`~repro.net.faults.FaultInjector.next_change`): rows
+        before the change are sent, the loop fires the change, and a row
+        at exactly its instant goes after it, at any worker count.
+        ``docs/SHARDING.md`` explains why this keeps every digest.
+
+        ``max_events`` bounds loop events as in
+        :meth:`EventLoop.run_until_window`; rows past a cut the budget
+        did not reach stay unsent and count in :attr:`pending`.
+        """
+        loop = self.loop
+        occupancy = loop.wheel_occupancy
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        return self.loop.run_until_window(barrier, max_events)
+        budget = _MAX_EVENTS if max_events is None else max_events
+        times = self.program.when
+        faults = self.faults
+        fired = 0
+        while fired < budget:
+            change = faults.next_change() if faults is not None else math.inf
+            if change <= barrier:
+                self._replay(bisect_left(times, change, self._next_send))
+                fired += loop.run_until_window(change, budget - fired)
+            else:
+                self._replay(bisect_right(times, barrier, self._next_send))
+                fired += loop.run_until_window(barrier, budget - fired)
+                break
+        return fired
+
+    def _replay(self, end: int) -> None:
+        """Send program rows ``[_next_send, end)``, each at its own instant."""
+        start = self._next_send
+        program = self.program
+        send = self.net.send_indexed
+        for src, dst, u_latency, u_fault, at in zip(
+            program.src[start:end],
+            program.dst[start:end],
+            program.u_latency[start:end],
+            program.u_fault[start:end],
+            program.when[start:end],
+        ):
+            send(src, dst, u_latency, u_fault, at)
+        self._next_send = end
 
     def stats(self) -> dict:
         """This shard's digest-facing aggregates (all K-invariant).
@@ -507,8 +548,8 @@ def _window_cap(workload: SwarmWorkload) -> int:
 
 
 def _work_left(shards: list[ShardWorker], inbox: list[list]) -> bool:
-    """Any queued event, undelivered batch or unflushed egress row."""
-    if any(shard.loop.pending for shard in shards):
+    """Any queued event, unsent row, undelivered batch or unflushed egress row."""
+    if any(shard.pending for shard in shards):
         return True
     if any(inbox):
         return True
@@ -630,16 +671,23 @@ def _run_inline(
             for dst, cols in shard.net.flush_egress().items():
                 inbox[dst].append(cols)
                 moved = True
-        if not moved and not any(shard.loop.pending for shard in shards):
+        if not moved and not any(shard.pending for shard in shards):
             break
     reports = [shard.final_report() for shard in shards]
     return _merge_reports(workload, workers, "inline", windows, reports)
 
 
 def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: int) -> None:
-    """Child-process loop: build the shard, then serve barrier commands."""
-    worker = ShardWorker(workload, shard_id, workers)
+    """Child-process loop: build the shard, then serve barrier commands.
+
+    Every command gets one reply frame: ``("ok", ...)`` with its result,
+    or ``("error", window, barrier, traceback)`` when building the shard
+    or serving the command raised, after which the worker exits.
+    """
+    window = 0
+    barrier = 0.0
     try:
+        worker = ShardWorker(workload, shard_id, workers)
         while True:
             try:
                 message = conn.recv()
@@ -648,20 +696,60 @@ def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: in
             op = message[0]
             if op == "run":
                 _, barrier, batches = message
+                window += 1
                 if batches:
                     worker.net.inject_batches(batches)
                 worker.run_window(barrier)
-                conn.send((worker.net.flush_egress(), worker.loop.pending))
+                conn.send(("ok", worker.net.flush_egress(), worker.pending))
             elif op == "finish":
-                conn.send(worker.final_report())
+                conn.send(("ok", worker.final_report()))
             else:  # "exit"
                 break
+    except Exception:
+        try:
+            conn.send(("error", window, barrier, traceback.format_exc()))
+        except OSError:  # the coordinator has already hung up
+            pass
     finally:
         conn.close()
 
 
+def _reply(conn, proc, shard: int, window: int, barrier: float) -> tuple:
+    """The payload of one worker's reply frame.
+
+    Raises :class:`ShardWorkerError` for an error frame, carrying the
+    worker's window, barrier and traceback, and for a worker that closed
+    its pipe without replying, carrying its exit code.
+    """
+    try:
+        frame = conn.recv()
+    except (EOFError, OSError):
+        proc.join(timeout=5)
+        raise ShardWorkerError(
+            shard, window, barrier,
+            f"worker exited with code {proc.exitcode} without replying",
+        ) from None
+    if frame[0] == "error":
+        _, window, barrier, text = frame
+        raise ShardWorkerError(shard, window, barrier, text)
+    return frame[1:]
+
+
+def _command(conn, message: tuple) -> None:
+    """Send one command; a worker that is gone shows up at its reply."""
+    try:
+        conn.send(message)
+    except OSError:
+        pass
+
+
 def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
-    """Drive one worker process per shard through the window protocol."""
+    """Drive one worker process per shard through the window protocol.
+
+    A worker that raises, or dies without replying, stops the run with
+    :class:`ShardWorkerError`; every worker is joined, or terminated,
+    before this returns or raises.
+    """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
@@ -694,12 +782,12 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
                 )
             barrier += lookahead  # cumulative: see _run_inline
             for shard, conn in enumerate(conns):
-                conn.send(("run", barrier, inbox[shard]))
+                _command(conn, ("run", barrier, inbox[shard]))
                 inbox[shard] = []
             moved = False
             total_pending = 0
-            for conn in conns:
-                egress, pending = conn.recv()
+            for shard, conn in enumerate(conns):
+                egress, pending = _reply(conn, procs[shard], shard, windows, barrier)
                 total_pending += pending
                 # dict preserves insertion order and workers flush
                 # shards ascending, so each inbox accumulates batches in
@@ -711,11 +799,11 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
             if not moved and total_pending == 0:
                 break
         for conn in conns:
-            conn.send(("finish",))
+            _command(conn, ("finish",))
+        for shard, conn in enumerate(conns):
+            reports.append(_reply(conn, procs[shard], shard, windows, barrier)[0])
         for conn in conns:
-            reports.append(conn.recv())
-        for conn in conns:
-            conn.send(("exit",))
+            _command(conn, ("exit",))
     finally:
         for conn in conns:
             try:

@@ -60,3 +60,21 @@ class TokenError(AuthenticationError):
 
 class IntegrityError(ReproError):
     """Content integrity verification failed (polluted segment, bad SIM)."""
+
+
+class ShardWorkerError(ReproError):
+    """A sharded-swarm worker process failed.
+
+    The worker either raised, and ``detail`` is the formatted traceback
+    it sent home, or died without replying, and ``detail`` gives its
+    exit code. ``window`` counts barrier windows from 1; window 0 is the
+    worker building its shard.
+    """
+
+    def __init__(self, shard: int, window: int, barrier: float, detail: str) -> None:
+        super().__init__(
+            f"shard worker {shard} failed in window {window} (barrier {barrier!r}):\n{detail}"
+        )
+        self.shard = shard
+        self.window = window
+        self.barrier = barrier

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 
 from repro.net.addresses import Endpoint
+from repro.net.clock import DEFAULT_WHEEL_SLOTS, EventLoop, TimerHandle
 from repro.net.faults import FaultPlan, RandomFaultPlanner
 from repro.net.nat import NatType
 from repro.net.network import Host, Network
@@ -27,6 +28,16 @@ REGIONS = ("US", "DE")
 TRAFFIC_PORT = 500
 
 _NAT_TYPES = (NatType.FULL_CONE, NatType.PORT_RESTRICTED_CONE, NatType.SYMMETRIC)
+
+#: Datagrams in one :func:`schedule_burst`: more than a default wheel's
+#: depth gate (``2 * DEFAULT_WHEEL_SLOTS`` live entries) can hold, so a
+#: burst carries a shallow loop onto the wheel and, as its deliveries
+#: fire, back off it.
+BURST_DATAGRAMS = 2 * DEFAULT_WHEEL_SLOTS + 400
+
+#: When :func:`pad_past_depth_gate` parks its idle timers: later than
+#: any test runs, so the pads never fire unless a test drains them.
+PAD_AT = 1e6
 
 
 def chaos_rand(salt: str) -> DeterministicRandom:
@@ -107,3 +118,46 @@ def assert_conserved(network: Network) -> None:
         f" + dropped={network.datagrams_dropped} + in_flight={network.datagrams_in_flight}"
     )
     assert sum(network.drops_by_reason.values()) == network.datagrams_dropped
+
+
+def schedule_burst(network: Network, at: float, count: int = BURST_DATAGRAMS) -> None:
+    """At ``at``, send ``count`` datagrams at once between two new hosts.
+
+    The pair is public, regionless and outside every generated fault
+    plan, so each datagram stays queued until it is delivered: the loop
+    holds at least ``count`` live entries right after the burst and
+    drains back to its usual depth within one latency band.
+    """
+    src = network.add_host("burst-src")
+    dst = network.add_host("burst-dst")
+    dst.bind_udp(TRAFFIC_PORT)
+    target = Endpoint(dst.ip, TRAFFIC_PORT)
+
+    def burst() -> None:
+        for i in range(count):
+            network.send_datagram(src, TRAFFIC_PORT, target, i.to_bytes(2, "big"))
+
+    network.loop.schedule_at(at, burst)
+
+
+def _idle() -> None:
+    """The callback of a pad timer."""
+
+
+def pad_past_depth_gate(loop: EventLoop) -> list[TimerHandle]:
+    """Park idle timers at :data:`PAD_AT` until the loop is at its depth gate.
+
+    The wheel only takes entries from a loop holding ``2 * slots`` live
+    entries, so a test of wheel mechanics pads its loop first: the next
+    entry it schedules goes on the wheel. The pads themselves go to the
+    heap uncounted, like every entry of a shallow loop. Cancel them
+    before draining the loop, or let them fire as no-ops.
+    """
+    return [loop.schedule_at(PAD_AT, _idle)
+            for _ in range(2 * loop._wheel_slots - loop.pending)]
+
+
+def cancel_all(handles: list[TimerHandle]) -> None:
+    """Cancel every handle (a test's pads, once it is done with them)."""
+    for handle in handles:
+        handle.cancel()

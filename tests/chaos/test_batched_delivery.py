@@ -10,7 +10,10 @@ ways (batched, and the pure-heap oracle with the wheel disabled) and
 must produce bit-equal dispatch traces and counters — plus seed-2024
 digest-pin equality at the experiment level and boundary tests for the
 drain mechanics (step/run_until/run_all semantics, mid-run reconfigure
-flush, inbox eviction parity, counter exposure).
+flush, inbox eviction parity, counter exposure). Datagrams reach the
+columns only while the loop is past the wheel's depth gate, so each
+scenario adds a burst that crosses the gate both ways, and each drain
+test pads its loop past the gate first.
 """
 
 import pytest
@@ -27,10 +30,13 @@ from repro.util.rand import DeterministicRandom
 from tests.chaos.gen import (
     TRAFFIC_PORT,
     assert_conserved,
+    cancel_all,
     chaos_seeds,
+    pad_past_depth_gate,
     pump_random_traffic,
     random_plan,
     random_topology,
+    schedule_burst,
 )
 from tests.chaos.test_timing_wheel import OrderTrace
 
@@ -52,6 +58,7 @@ def run_scenario(seed: int, mode: str, faults: bool) -> tuple[list, dict]:
     if faults:
         FaultInjector(net).arm(random_plan(rand.fork("faults"), hosts, horizon=30.0))
     pump_random_traffic(rand.fork("traffic"), net, hosts, count=300, horizon=25.0)
+    schedule_burst(net, at=12.5)
     trace = OrderTrace()
     EventLoop.add_sink(trace)
     try:
@@ -110,44 +117,53 @@ class TestBatchedEquivalence:
 
 
 def one_host_net(**bind_kwargs):
-    """A two-host network with one bound destination socket."""
+    """A two-host network with one bound destination socket.
+
+    Its loop is padded past the depth gate, so the datagrams a test
+    sends go into the batched columns; the pads are returned last.
+    """
     net = Network(rand=DeterministicRandom("batched-unit"), jitter=0.0)
     a = net.add_host("a", region="US")
     b = net.add_host("b", region="US")
     sock = b.bind_udp(TRAFFIC_PORT, **bind_kwargs)
-    return net, a, b, sock
+    return net, a, b, sock, pad_past_depth_gate(net.loop)
 
 
 class TestDrainMechanics:
     def test_step_fires_exactly_one_batched_row(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         for i in range(5):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
-        assert net.loop.pending == 5
+        assert net.loop.wheel_batched == 5
+        assert net.loop.pending == 5 + len(pads)
         assert net.loop.step() is True
         assert net.datagrams_delivered == 1
-        assert net.loop.pending == 4
+        assert net.loop.pending == 4 + len(pads)
         assert net.loop.events_fired == 1
+        cancel_all(pads)
         net.loop.run_all()
         assert [payload for payload, _ in sock.inbox] == [bytes([i]) for i in range(5)]
 
     def test_run_until_deadline_splits_a_batched_bucket(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         # Same-region base latency is 20 ms (jitter 0): both land at a
         # deterministic `when`; a deadline between them fires only one.
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"early")
         net.loop.now = 0.005
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"late")
+        assert net.loop.wheel_batched == 2
         net.loop.run_until(0.021)
         assert [p for p, _ in sock.inbox] == [b"early"]
-        assert net.loop.pending == 1
+        assert net.loop.pending == 1 + len(pads)
         net.loop.run_until(0.03)
         assert [p for p, _ in sock.inbox] == [b"early", b"late"]
 
     def test_run_all_max_events_bound_is_exact_for_batched_rows(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         for i in range(6):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
+        assert net.loop.wheel_batched == 6
+        cancel_all(pads)
         with pytest.raises(RuntimeError, match="exceeded 3 events"):
             net.loop.run_all(max_events=3)
         # Exactly 3 fired — the drain stopped mid-run, no 4th event.
@@ -159,7 +175,7 @@ class TestDrainMechanics:
 
     def test_heap_event_interleaves_into_a_batched_run(self):
         """A heap timer due mid-run fires between two same-bucket rows."""
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         order = []
         sock.handler = lambda payload, src, s: order.append(payload)
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"first")
@@ -169,16 +185,38 @@ class TestDrainMechanics:
         # theirs: the drain must stop mid-run to let it fire.
         net.loop.call_every(0.02, order.append, "timer", until=0.02)
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"second")
+        assert net.loop.wheel_batched == 2
+        cancel_all(pads)
         net.loop.run_all()
         assert order == [b"first", "timer", b"second"]
 
+    def test_heap_resident_delivery_fires_inside_the_batched_run(self):
+        """A delivery queued below the depth gate sits on the heap; when it
+        falls between two rows of a batched run, the same drain fires it."""
+        net = Network(rand=DeterministicRandom("batched-unit"), jitter=0.0)
+        fast = net.add_host("fast", region="US")
+        # A 100 kB/s uplink queues each 1-2 byte datagram by 10-20 us,
+        # so all three deliveries share one 0.47 ms bucket.
+        slow = net.add_host("slow", region="US", uplink_bytes_per_sec=100_000)
+        sock = net.add_host("b", region="US").bind_udp(TRAFFIC_PORT)
+        net.send_datagram(slow, TRAFFIC_PORT, sock.endpoint, b"h")  # heap, 20.01 ms
+        pads = pad_past_depth_gate(net.loop)
+        net.send_datagram(fast, TRAFFIC_PORT, sock.endpoint, b"r1")  # columns, 20 ms
+        net.send_datagram(slow, TRAFFIC_PORT, sock.endpoint, b"r2")  # columns, 20.03 ms
+        assert net.loop.wheel_batched == 2
+        cancel_all(pads)
+        net.loop.run_all()
+        assert [p for p, _ in sock.inbox] == [b"r1", b"h", b"r2"]
+        assert net.loop.wheel_batch_drains == 1
+
     def test_pending_matches_queue_scan_with_column_residents(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         for i in range(4):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
         net.loop.schedule(5.0, lambda: None)  # far-future heap resident
         queued = list(net.loop._iter_queued())
-        assert net.loop.pending == 5 == len(queued)
+        assert net.loop.wheel_batched == 4
+        assert net.loop.pending == 5 + len(pads) == len(queued)
         # Column rows surface in the legacy 4-tuple vocabulary.
         fast = [e for e in queued if len(e) == 4]
         assert len(fast) == 4
@@ -187,9 +225,11 @@ class TestDrainMechanics:
             assert entry[3][0] is b and entry[3][1] == TRAFFIC_PORT
 
     def test_configure_wheel_flushes_column_rows_order_intact(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         for i in range(4):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
+        assert net.loop.wheel_batched == 4
+        cancel_all(pads)
         net.loop.configure_wheel(None, 0)  # flush columns to the heap
         assert net.loop.wheel_occupancy == 0
         assert net.loop.pending == 4
@@ -205,6 +245,7 @@ class TestDrainMechanics:
             net = Network(rand=DeterministicRandom("evict"), jitter=0.0)
             if not batched:
                 net.loop.configure_wheel(None, 0)
+            pad_past_depth_gate(net.loop)  # no pads once the wheel is off
             a = net.add_host("a", region="US")
             b = net.add_host("b", region="US")
             sock = b.bind_udp(TRAFFIC_PORT, inbox_limit=4)
@@ -221,7 +262,7 @@ class TestDrainMechanics:
 
     def test_handler_sending_into_the_draining_bucket_stays_ordered(self):
         """Re-entrant sends from a handler keep the merged order."""
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         got = []
 
         def reply_once(payload, src, s):
@@ -235,14 +276,16 @@ class TestDrainMechanics:
         a.bind_udp(TRAFFIC_PORT, handler=lambda p, s, sk: got.append(p))
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"ping")
         net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), b"after")
+        assert net.loop.wheel_batched == 2
         net.loop.run_all()
         assert got == [b"ping", b"after", b"pong"]
         assert_conserved(net)
 
     def test_wheel_stats_expose_batching_counters(self):
-        net, a, b, sock = one_host_net()
+        net, a, b, sock, pads = one_host_net()
         for i in range(3):
             net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
+        cancel_all(pads)
         net.loop.run_all()
         stats = net.loop.wheel_stats()
         assert stats["batched"] == 3

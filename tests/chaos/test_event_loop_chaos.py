@@ -9,7 +9,11 @@ cancellation-from-inside-a-callback and at-now ordering must be exact.
 import pytest
 
 from repro.net.clock import EventLoop
+from repro.net.network import Network
 from repro.util.errors import ConfigurationError
+from repro.util.rand import DeterministicRandom
+
+from tests.chaos.gen import pad_past_depth_gate
 
 
 class TestCancelFromCallback:
@@ -134,14 +138,20 @@ class TestRunAllExactBound:
         assert loop.pending == 0
 
     def test_bound_counts_fast_events_too(self):
-        loop = EventLoop()
+        """Anonymous heap entries (a shallow loop's datagram deliveries)
+        count against the bound like handle-based timers."""
+        net = Network(rand=DeterministicRandom("bound"))
+        a = net.add_host("a")
+        b = net.add_host("b")
 
-        def rescheduling():
-            loop.schedule_fast(loop.now, rescheduling, ())
+        def echo(payload, src, sock):
+            sock.send(src, payload)
 
-        loop.schedule_fast(0.0, rescheduling, ())
+        a_sock = a.bind_udp(500, handler=echo)
+        b.bind_udp(500, handler=echo).send(a_sock.endpoint, b"ping")
         with pytest.raises(RuntimeError, match="exceeded 5 events"):
-            loop.run_all(max_events=5)
+            net.loop.run_all(max_events=5)
+        assert net.datagrams_delivered == 5
 
 
 class TestPendingCounter:
@@ -180,11 +190,12 @@ class TestPendingCounter:
 
     def test_pending_matches_queue_scan_across_mixed_churn(self):
         """Counter == brute-force scan (heap + wheel buckets + cursor)
-        after a seeded mix of schedule, schedule_fast, cancel, dispatch."""
+        after a seeded mix of schedule, schedule_at, cancel, dispatch on
+        a loop padded past the wheel's depth gate."""
         from repro.net.clock import TimerHandle
-        from repro.util.rand import DeterministicRandom
 
         loop = EventLoop()
+        pad_past_depth_gate(loop)
         rand = DeterministicRandom("pending-churn")
         handles = []
         for _ in range(500):
@@ -192,7 +203,7 @@ class TestPendingCounter:
             if roll < 0.4:
                 handles.append(loop.schedule(rand.uniform(0, 5), lambda: None))
             elif roll < 0.6:
-                loop.schedule_fast(loop.now + rand.uniform(0, 5), lambda: None, ())
+                loop.schedule_at(loop.now + rand.uniform(0, 5), lambda: None)
             elif roll < 0.8 and handles:
                 handles.pop(rand.randint(0, len(handles) - 1)).cancel()
             else:
@@ -207,21 +218,21 @@ class TestPendingCounter:
         assert isinstance(handles[0], TimerHandle)
 
 
-class TestScheduleFast:
+class TestScheduleAt:
     def test_fires_in_when_seq_order_with_plain_timers(self):
         loop = EventLoop()
         order = []
         loop.schedule(1.0, order.append, "plain")
-        loop.schedule_fast(1.0, order.append, ("fast-second",))
-        loop.schedule_fast(0.5, order.append, ("fast-first",))
+        loop.schedule_at(1.0, order.append, "absolute-second")
+        loop.schedule_at(0.5, order.append, "absolute-first")
         loop.run_all()
-        assert order == ["fast-first", "plain", "fast-second"]
+        assert order == ["absolute-first", "plain", "absolute-second"]
         assert loop.now == 1.0
 
-    def test_fast_events_drive_the_clock(self):
+    def test_absolute_events_drive_the_clock(self):
         loop = EventLoop()
         seen = []
-        loop.schedule_fast(2.5, lambda: seen.append(loop.now), ())
+        loop.schedule_at(2.5, lambda: seen.append(loop.now))
         loop.run_all()
         assert seen == [2.5]
         assert loop.events_fired == 1

@@ -247,8 +247,8 @@ class TestFaultInjector:
         b = network.add_host("b", region="US")
         injector = FaultInjector(network)
         conditions = LinkConditions(bandwidth_bytes_per_sec=1_000)
-        first = injector.link_queue_delay(a, b, 1_000, conditions)
-        second = injector.link_queue_delay(a, b, 1_000, conditions)
+        first = injector.link_queue_delay(a, b, 1_000, conditions, network.loop.now)
+        second = injector.link_queue_delay(a, b, 1_000, conditions, network.loop.now)
         assert first == pytest.approx(1.0)
         assert second == pytest.approx(2.0)  # queued behind the first
 

@@ -8,10 +8,14 @@ fault plan. The property tests here run whole chaos scenarios twice
 network counter; the experiment-level test proves the pinned result
 digests are reproduced with the wheel disabled outright.
 
-The boundary tests pin the wheel mechanics the property can miss:
-bucket rollover across many laps, far-future overflow to the heap,
-cancellation of wheel-resident handles, the idle-wheel origin resync,
-and mid-run geometry changes.
+The wheel only takes entries from a loop deep enough to fill it (the
+depth gate: ``2 * slots`` live entries). Each scenario therefore adds a
+burst that carries the loop past the gate and drains back below it, so
+one run crosses the gate both ways. The boundary tests pin the wheel
+mechanics the property can miss — bucket rollover across many laps,
+far-future overflow to the heap, cancellation of wheel-resident
+handles, the idle-wheel origin resync, and mid-run geometry changes —
+each on a loop padded past the gate, plus the gate itself.
 """
 
 import pytest
@@ -26,11 +30,16 @@ from repro.net.network import Network
 from repro.util.rand import DeterministicRandom
 
 from tests.chaos.gen import (
+    BURST_DATAGRAMS,
+    TRAFFIC_PORT,
     assert_conserved,
+    cancel_all,
     chaos_seeds,
+    pad_past_depth_gate,
     pump_random_traffic,
     random_plan,
     random_topology,
+    schedule_burst,
 )
 
 
@@ -65,6 +74,7 @@ def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict
     if faults:
         FaultInjector(net).arm(random_plan(rand.fork("faults"), hosts, horizon=30.0))
     pump_random_traffic(rand.fork("traffic"), net, hosts, count=300, horizon=25.0)
+    schedule_burst(net, at=12.5)
     trace = OrderTrace()
     EventLoop.add_sink(trace)
     try:
@@ -72,7 +82,11 @@ def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict
     finally:
         EventLoop.remove_sink(trace)
     assert_conserved(net)
-    if not wheel:
+    if wheel:
+        # The burst's deep stretch used the wheel; the shallow rest of
+        # the run, the burst's first 2 * slots datagrams included, did not.
+        assert 0 < net.loop.wheel_scheduled < BURST_DATAGRAMS
+    else:
         assert net.loop.wheel_scheduled == 0  # control run truly heap-only
     counters = {
         "sent": net.datagrams_sent,
@@ -113,40 +127,47 @@ class TestBucketBoundaries:
     def test_rollover_across_many_laps(self):
         """A self-rescheduling chain walks 25 laps of an 8-slot wheel."""
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         fired = []
 
         def chain(i):
             fired.append((i, loop.now))
             if i < 40:
-                loop.schedule_fast(loop.now + 0.05, chain, (i + 1,))
+                loop.schedule_at(loop.now + 0.05, chain, i + 1)
 
-        loop.schedule_fast(0.05, chain, (1,))
-        loop.run_all()
+        loop.schedule_at(0.05, chain, 1)
+        loop.run_until(10.0)
         assert [i for i, _ in fired] == list(range(1, 41))
         for i, when in fired:
             assert when == pytest.approx(0.05 * i)
         assert loop.wheel_scheduled == 40
         assert loop.wheel_overflow == 0
+        cancel_all(pads)
         assert loop.pending == 0
 
     def test_exact_bucket_edge_keeps_seq_order(self):
         """Entries landing exactly on a bucket edge stay FIFO by seq."""
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         order = []
-        loop.schedule_fast(0.02, order.append, ("a",))
-        loop.schedule_fast(0.02, order.append, ("b",))
-        loop.schedule_fast(0.01, order.append, ("c",))
+        loop.schedule_at(0.02, order.append, "a")
+        loop.schedule_at(0.02, order.append, "b")
+        loop.schedule_at(0.01, order.append, "c")
+        assert loop.wheel_scheduled == 3
+        cancel_all(pads)
         loop.run_all()
         assert order == ["c", "a", "b"]
 
     def test_far_future_overflows_to_heap(self):
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)  # 80 ms horizon
+        pads = pad_past_depth_gate(loop)
         order = []
-        loop.schedule_fast(1.0, order.append, ("far",))
-        loop.schedule_fast(0.03, order.append, ("near",))
+        loop.schedule_at(1.0, order.append, "far")
+        loop.schedule_at(0.03, order.append, "near")
         assert loop.wheel_overflow == 1
         assert loop.wheel_scheduled == 1
-        assert loop.pending == 2
+        assert loop.pending == 2 + len(pads)
+        cancel_all(pads)
         loop.run_all()
         assert order == ["near", "far"]
         assert loop.pending == 0
@@ -154,22 +175,27 @@ class TestBucketBoundaries:
 
     def test_cancel_wheel_resident_timer(self):
         loop = EventLoop()  # default geometry: 10/20 ms are in-band
+        pads = pad_past_depth_gate(loop)
         fired = []
         victim = loop.schedule(0.01, fired.append, "victim")
         loop.schedule(0.02, fired.append, "keeper")
         assert loop.wheel_occupancy == 2
         victim.cancel()
-        assert loop.pending == 1
+        assert loop.pending == 1 + len(pads)
+        cancel_all(pads)
         loop.run_all()
         assert fired == ["keeper"]
         assert loop.pending == 0
 
     def test_cancel_wheel_sibling_from_callback_in_same_bucket(self):
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         fired = []
         victim = loop.schedule_at(0.0152, fired.append, "victim")
         loop.schedule_at(0.0151, victim.cancel)  # same bucket, earlier seq... and when
         loop.schedule_at(0.0153, fired.append, "survivor")
+        assert loop.wheel_occupancy == 3
+        cancel_all(pads)
         loop.run_all()
         assert fired == ["survivor"]
         assert loop.pending == 0
@@ -177,13 +203,15 @@ class TestBucketBoundaries:
     def test_idle_wheel_resyncs_origin_to_now(self):
         """Heap-only progress far past the horizon drags the origin along."""
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         loop.schedule(1.0, lambda: None)  # way out of band: heap
         assert loop.wheel_overflow == 1
-        loop.run_all()
+        loop.run_until(1.0)
         assert loop.now == 1.0
         fired = []
         loop.schedule(0.03, fired.append, "late")  # in-band again, relative to now
         assert loop.wheel_scheduled == 1  # resync re-opened the wheel window
+        cancel_all(pads)
         loop.run_all()
         assert fired == ["late"]
         assert loop.now == pytest.approx(1.03)
@@ -191,24 +219,72 @@ class TestBucketBoundaries:
     def test_run_until_leaves_later_bucket_entries_queued(self):
         """A deadline mid-bucket fires only the due half of the bucket."""
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         fired = []
-        loop.schedule_fast(0.011, fired.append, ("early",))
-        loop.schedule_fast(0.019, fired.append, ("late",))  # same bucket
+        loop.schedule_at(0.011, fired.append, "early")
+        loop.schedule_at(0.019, fired.append, "late")  # same bucket
+        assert loop.wheel_scheduled == 2
         loop.run_until(0.015)
         assert fired == ["early"]
-        assert loop.pending == 1
+        assert loop.pending == 1 + len(pads)
         loop.run_until(0.02)
         assert fired == ["early", "late"]
 
     def test_configure_wheel_mid_run_preserves_order(self):
         loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        pads = pad_past_depth_gate(loop)
         fired = []
         for when in (0.011, 0.034, 0.052):
-            loop.schedule_fast(when, fired.append, (when,))
+            loop.schedule_at(when, fired.append, when)
         loop.configure_wheel(0.002, 16)  # flushes residents to the heap
+        pads += pad_past_depth_gate(loop)  # the gate grew with the wheel
         for when in (0.005, 0.04):
-            loop.schedule_fast(when, fired.append, (when,))
+            loop.schedule_at(when, fired.append, when)
+        assert loop.wheel_occupancy == 1  # 0.04 lies past the 32 ms horizon
+        cancel_all(pads)
         loop.run_all()
         assert fired == sorted(fired)
         assert len(fired) == 5
         assert loop.pending == 0
+
+
+class TestDepthGate:
+    """The wheel takes entries only from a loop holding ``2 * slots``."""
+
+    def test_shallow_loop_puts_nothing_on_the_wheel(self):
+        net = Network(rand=DeterministicRandom("shallow"), jitter=0.0)
+        loop = net.loop
+        a = net.add_host("a", region="US")
+        b = net.add_host("b", region="US")
+        sock = b.bind_udp(TRAFFIC_PORT)
+        for i in range(loop._wheel_slots - 1):
+            net.send_datagram(a, TRAFFIC_PORT, sock.endpoint, bytes([i % 256]))
+            loop.schedule(0.01, lambda: None)
+        # Out-of-band timers, which a deep loop would count as overflow.
+        loop.schedule(60.0, lambda: None)
+        loop.schedule(120.0, lambda: None)
+        assert loop.pending == 2 * loop._wheel_slots  # at the gate, not past it
+        loop.run_all()
+        assert loop.wheel_stats() == {
+            "slots": loop._wheel_slots,
+            "bucket_width": loop._wheel_width,
+            "scheduled": 0,
+            "overflow": 0,
+            "occupancy": 0,
+            "batched": 0,
+            "batch_drains": 0,
+        }
+        assert net.datagrams_delivered == loop._wheel_slots - 1
+
+    def test_gate_opens_past_two_slots_and_closes_below(self):
+        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
+        handles = [loop.schedule_at(0.05, lambda: None) for _ in range(16)]
+        assert loop.wheel_scheduled == 0 and loop.wheel_overflow == 0
+        loop.schedule_at(0.05, lambda: None)  # the 17th live entry
+        assert loop.wheel_scheduled == 1
+        cancel_all(handles)  # back below the gate
+        loop.schedule_at(0.05, lambda: None)
+        assert loop.wheel_scheduled == 1
+        assert loop.wheel_overflow == 0
+        loop.run_all()
+        assert loop.events_fired == 2

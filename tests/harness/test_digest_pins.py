@@ -73,6 +73,25 @@ EXPECTED_IM_CHECKING_DIGEST = "f4c52917ec3ddf139334c5762953adc375507ad067d04b679
 IM_CHECKING_HASH_BUDGET = 60
 SEGMENT_SIZED = 1_000_000  # bytes; segments are 3 MB, DTLS records 16 KB
 
+#: swarm-scale variant -> overrides on the quick params (400 viewers,
+#: 2,000 datagrams, one shard, inline) and the digest at seed 2024.
+#: The calm run must fire at most one event per datagram: a send is not
+#: an event, only its delivery is.
+EXPECTED_SWARM_DIGESTS = {
+    "calm": (
+        {},
+        "3c24d8f8fd10f163a7cbe7fa1bfea9bf319c16aee6f9a7f6c6a199e4a8e60d49",
+    ),
+    "faults=chaos-mix": (
+        {"faults": "chaos-mix"},
+        "1ca690e2e2822eab10f56af0a3bea145196c54090dc20bc723eb4126603a63db",
+    ),
+    "arrivals=flash-crowd": (
+        {"arrivals": "flash-crowd"},
+        "f3fffe9a472aaab8cbbda8cd303197a11c9b335123769377688cee58f20b1e70",
+    ),
+}
+
 PIN_SEED = 2024
 
 
@@ -86,6 +105,14 @@ def _ip_leak_record(overrides: dict):
     """Run quick ip-leak with ``overrides`` at the pin seed."""
     params = {**registry.get("ip-leak").resolve_params(quick=True), **overrides}
     outcome = execute_spec("ip-leak", PIN_SEED, params)
+    assert outcome.record.ok, outcome.record.error
+    return outcome.record
+
+
+def _swarm_record(overrides: dict):
+    """Run quick swarm-scale with ``overrides`` at the pin seed."""
+    params = {**registry.get("swarm-scale").resolve_params(quick=True), **overrides}
+    outcome = execute_spec("swarm-scale", PIN_SEED, params)
     assert outcome.record.ok, outcome.record.error
     return outcome.record
 
@@ -104,6 +131,8 @@ def current_digests() -> dict:
         out[f"scenario:{preset}"] = outcome.record.result_digest
     for variant, (overrides, _, _) in EXPECTED_IP_LEAK_DIGESTS.items():
         out[f"ip-leak:{variant}"] = _ip_leak_record(overrides).result_digest
+    for variant, (overrides, _) in EXPECTED_SWARM_DIGESTS.items():
+        out[f"swarm-scale:{variant}"] = _swarm_record(overrides).result_digest
     return out
 
 
@@ -151,6 +180,22 @@ class TestIpLeakPins:
         )
         if event_budget is not None:
             assert record.events_fired <= event_budget
+
+
+class TestSwarmScalePins:
+    @pytest.mark.parametrize("variant", sorted(EXPECTED_SWARM_DIGESTS))
+    def test_variant_matches_pinned_digest(self, variant):
+        overrides, digest = EXPECTED_SWARM_DIGESTS[variant]
+        record = _swarm_record(overrides)
+        assert record.result_digest == digest, (
+            f"swarm-scale {variant} drifted from its pinned digest — if the "
+            f"change is intentional, update EXPECTED_SWARM_DIGESTS"
+        )
+
+    def test_calm_run_fires_at_most_one_event_per_datagram(self):
+        record = _swarm_record({})
+        datagrams = registry.get("swarm-scale").resolve_params(quick=True)["datagrams"]
+        assert record.events_fired <= datagrams
 
 
 def _counting_sha256():

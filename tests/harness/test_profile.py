@@ -9,6 +9,8 @@ from repro.harness.profile import (
 )
 from repro.net.clock import EventLoop
 
+from tests.chaos.gen import pad_past_depth_gate
+
 
 def _tick() -> None:
     """A no-op callback with a stable module/qualname for site tests."""
@@ -58,6 +60,7 @@ class TestEventCounter:
 class TestSiteProfiler:
     def run_profiled(self) -> SiteProfiler:
         loop = EventLoop()
+        pad_past_depth_gate(loop)  # idle until long after the run ends
         loop.schedule_at(0.0, _tick)
         loop.call_every(1.0, _tick)  # fires at 1, 2, 3; next pending at 4
         with capture_events(SiteProfiler()) as profiler:
@@ -80,9 +83,10 @@ class TestSiteProfiler:
         assert data == {
             "total_events": 4,
             "sites": {f"{__name__}._tick": 4},
-            # schedule_at(0.0) is in-band; the call_every chain is a
-            # heap-class timer that bypasses both wheel counters. No
-            # datagram plane here, so the batching gauges stay zero.
+            # schedule_at(0.0) is in-band on a loop padded past the
+            # depth gate; the call_every chain is a heap-class timer
+            # that bypasses both wheel counters. No datagram plane here,
+            # so the batching gauges stay zero.
             "wheel": {
                 "scheduled": 1,
                 "overflow": 0,

@@ -10,6 +10,9 @@ a window barrier, hosts crashing with cross-shard traffic in flight,
 and ``max_events`` budgets that must stay exact under sharding.
 """
 
+import multiprocessing
+import os
+import signal
 from array import array
 
 import pytest
@@ -20,12 +23,13 @@ from repro.net.faults import FaultPlan, HostCrash
 from repro.net.network import ShardNetwork
 from repro.net.shard import (
     DEFAULT_REGIONS,
+    ShardWorker,
     SwarmWorkload,
     build_fault_plan,
     run_workload,
     shard_of,
 )
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ShardWorkerError
 from repro.util.rand import DeterministicRandom
 
 #: Small enough to keep the whole module fast, big enough that every
@@ -57,8 +61,8 @@ class TestDigestInvariance:
         assert set(report.drops_by_reason) & {"host_down", "link_down", "fault_loss"}
 
     def test_flash_crowd_invariant_and_distinct(self):
-        flash = [run_at(workers, arrivals="flash-crowd") for workers in (1, 2)]
-        assert flash[0].digest == flash[1].digest
+        flash = [run_at(workers, arrivals="flash-crowd") for workers in (1, 2, 4)]
+        assert len({report.digest for report in flash}) == 1
         assert flash[0].digest != run_at(1).digest
 
     def test_seed_changes_digest(self):
@@ -138,7 +142,7 @@ class TestWindowEdges:
         net.add_indexed_host(0).bind_udp(4000)
         # Viewer 1 lives in region index 1 -> shard 1: remote from shard 0.
         assert shard_of(1, len(DEFAULT_REGIONS), 2) == 1
-        net.send_indexed(0, 1, 0.5, 0.9)
+        net.send_indexed(0, 1, 0.5, 0.9, net.loop.now)
         assert net.egress_sent == 1
         assert net.datagrams_sent == 1
         assert net.datagrams_in_flight == 0  # receiver-side accounting
@@ -174,6 +178,80 @@ class TestCrashWithInFlightTraffic:
         report = run_at(4, faults=plan_path, locality=0.5)
         applied = [shard["fault_events_applied"] for shard in report.per_shard]
         assert applied == [1, 1, 1, 1]
+
+
+class TestWindowReplay:
+    """Sends replay from the program, cut at every fault change."""
+
+    def test_send_at_a_fault_instant_goes_after_the_fault(self, tmp_path):
+        plan = FaultPlan(events=(HostCrash(at=5.0, host="v0"),), name="crash-v0")
+        path = tmp_path / "crash.json"
+        path.write_text(plan.to_json())
+        worker = ShardWorker(SwarmWorkload(viewers=4, datagrams=0, faults=str(path)), 0, 1)
+        # Two hand-made rows from v0 to v1: one just before the crash
+        # instant, one exactly on it.
+        program = worker.program
+        program.when.extend([5.0 - 1e-9, 5.0])
+        program.src.extend([0, 0])
+        program.dst.extend([1, 1])
+        program.u_latency.extend([0.5, 0.5])
+        program.u_fault.extend([0.5, 0.5])
+        barrier = 0.0
+        while worker.pending:
+            barrier += worker.workload.lookahead
+            worker.run_window(barrier)
+        stats = worker.stats()
+        assert stats["sent"] == 2
+        assert stats["delivered"] == 1  # sent before the crash, to a live host
+        assert stats["drops_by_reason"] == {"host_down": 1}  # sent after it
+        assert worker.loop.events_fired == 2  # the crash and one delivery
+
+    def test_pending_counts_unsent_rows(self):
+        worker = ShardWorker(SwarmWorkload(**SMALL), 0, 1)
+        assert worker.loop.pending == 0
+        assert worker.pending == SMALL["datagrams"]
+        worker.run_window(10.0)
+        assert 0 < worker.pending < SMALL["datagrams"]
+
+
+class TestWorkerFailures:
+    """A failed worker process is named, and no worker outlives the run."""
+
+    def test_raising_window_names_shard_window_and_traceback(self, monkeypatch):
+        real = ShardWorker.run_window
+
+        def failing(self, barrier, max_events=None):
+            if self.shard_id == 1 and barrier > 0.3:
+                raise ValueError("injected window failure")
+            return real(self, barrier, max_events)
+
+        monkeypatch.setattr(ShardWorker, "run_window", failing)
+        with pytest.raises(ShardWorkerError) as caught:
+            run_workload(SwarmWorkload(**SMALL), 2, inline=False)
+        error = caught.value
+        assert (error.shard, error.window) == (1, 3)
+        assert error.barrier == pytest.approx(3 * SwarmWorkload(**SMALL).lookahead)
+        message = str(error)
+        assert "shard worker 1 failed in window 3" in message
+        assert "Traceback (most recent call last)" in message
+        assert "ValueError: injected window failure" in message
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_reported_with_its_exit_code(self, monkeypatch):
+        real = ShardWorker.run_window
+
+        def killed(self, barrier, max_events=None):
+            if self.shard_id == 0 and barrier > 0.2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, barrier, max_events)
+
+        monkeypatch.setattr(ShardWorker, "run_window", killed)
+        with pytest.raises(ShardWorkerError) as caught:
+            run_workload(SwarmWorkload(**SMALL), 2, inline=False)
+        error = caught.value
+        assert (error.shard, error.window) == (0, 2)
+        assert f"exited with code {-signal.SIGKILL} without replying" in str(error)
+        assert multiprocessing.active_children() == []
 
 
 class TestMaxEventsExactness:
