@@ -8,7 +8,9 @@ with ``PYTHONHASHSEED=0`` and ``PYTHONPATH`` pointing at one tree's
 ``src``. The manifest the child writes gives the run's
 ``wall_seconds`` (the experiment body, timed by the harness),
 ``events_fired``, ``peak_rss_kb`` (the child's high-water mark) and
-``result_digest``.
+``result_digest``. A sharded run's workers are processes of their own,
+so its peak is the larger of the child's and its largest worker's
+(``extra["worker_peak_rss_kb"]``).
 
 Given two trees, the runs alternate between them, and which tree goes
 first flips every round, so slow phases of a shared machine hit both
@@ -70,6 +72,11 @@ def run_child(tree: pathlib.Path, experiment: str) -> dict:
     return manifest
 
 
+def peak_rss_kb(manifest: dict) -> int:
+    """The run's peak RSS, counting a sharded run's worker processes."""
+    return max(manifest["peak_rss_kb"], manifest["extra"].get("worker_peak_rss_kb", 0))
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of ``values``, plus the runs."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -86,7 +93,7 @@ def summarize(manifests: list[dict]) -> dict:
         "result_digest": manifests[0]["result_digest"],
         "events_fired": manifests[0]["events_fired"],
         "wall_seconds": spread([m["wall_seconds"] for m in manifests]),
-        "peak_rss_kb": spread([m["peak_rss_kb"] for m in manifests]),
+        "peak_rss_kb": spread([peak_rss_kb(m) for m in manifests]),
     }
 
 

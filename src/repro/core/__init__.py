@@ -2,11 +2,12 @@
 
 The analyzer accepts a PDN service and a security test as input. Its
 control panel sets test parameters, runs each PDN peer as a container
-(web driver + proxy client + traffic capture + resource monitor), and
-can intercept and modify the traffic between a peer and the PDN server
-through the configured proxy. After execution it returns dumped traffic,
-playback records (the screen-recording analog), execution logs, and
-resource statistics for risk evaluation.
+(web driver + proxy client + resource monitor), and can intercept and
+modify the traffic between a peer and the PDN server through the
+configured proxy. After execution it returns playback records (the
+screen-recording analog), execution logs, and resource statistics for
+risk evaluation. A test that needs dumped traffic registers its own
+scoped capture, so no peer holds one it does not read.
 """
 
 from repro.core.testbed import TestBed, build_test_bed

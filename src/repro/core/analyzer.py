@@ -1,10 +1,13 @@
 """The analyzer itself: peer containers and the control panel.
 
 Each peer runs as a "container": a browser (web driver) wired through a
-per-peer proxy client, with a scoped traffic capture on its virtual
-interface and a per-second resource monitor — the Fig. 2 architecture.
-The control panel (:class:`PdnAnalyzer`) creates peers, runs security
-tests, and collects their artifacts.
+per-peer proxy client, with a per-second resource monitor — the Fig. 2
+architecture. The control panel (:class:`PdnAnalyzer`) creates peers,
+runs security tests, and collects their artifacts. A peer holds no
+traffic capture: nothing reads one, and a capture keeps every payload
+it records for the whole run. A test that classifies traffic registers
+its own scoped :class:`~repro.net.capture.TrafficCapture`, as the
+§III-C dynamic confirmer does.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from repro.core.report import TestReport
 from repro.core.security_test import SecurityTest
 from repro.core.testbed import TestBed
 from repro.environment import Environment
-from repro.net.capture import TrafficCapture
 from repro.net.nat import NatType
 from repro.privacy.resources import ResourceModel, ResourceMonitor
 from repro.proxy.mitm import MitmProxy
@@ -24,12 +26,11 @@ from repro.web.browser import Browser, PageSession
 
 @dataclass
 class PeerContainer:
-    """One analyzer peer: browser + proxy client + capture + monitor."""
+    """One analyzer peer: browser + proxy client + resource monitor."""
 
     name: str
     browser: Browser
     proxy: MitmProxy | None
-    capture: TrafficCapture
     monitor: ResourceMonitor
     session: PageSession | None = None
 
@@ -45,7 +46,6 @@ class PeerContainer:
     def close(self) -> None:
         """Close and release resources."""
         self.monitor.stop()
-        self.capture.stop()
         self.browser.close()
 
     # -- convenience views over artifacts ---------------------------------
@@ -105,14 +105,12 @@ class PdnAnalyzer:
             relay_only=relay_only,
             host=host,
         )
-        capture = TrafficCapture(f"cap:{name}", interface_ips=[browser.host.public_ip])
-        self.env.network.add_capture(capture)
         monitor = ResourceMonitor(
             self.env.loop, browser, model=self.resource_model,
             interval=monitor_interval, name=name,
         )
         monitor.start()
-        peer = PeerContainer(name, browser, proxy, capture, monitor)
+        peer = PeerContainer(name, browser, proxy, monitor)
         self.peers.append(peer)
         return peer
 

@@ -27,14 +27,15 @@ from repro.util.tables import render_kv
 class SwarmScaleResult(ResultBase):
     """The merged, K-invariant outcome of one sharded swarm run.
 
-    Worker count, coordinator mode, window count and the per-shard event
-    totals are *how* the run was computed, not *what* it computed — they
-    are excluded from serialization (and therefore from the verify
-    digest) and surfaced through :meth:`manifest_extra` instead.
+    Worker count, coordinator mode, window count, the per-shard event
+    totals and the largest shard's peak RSS are *how* the run was
+    computed, not *what* it computed — they are excluded from
+    serialization (and therefore from the verify digest) and surfaced
+    through :meth:`manifest_extra` instead.
     """
 
     _serialize_exclude: ClassVar[tuple[str, ...]] = (
-        "shard_workers", "mode", "windows", "events_fired",
+        "shard_workers", "mode", "windows", "worker_peak_rss_kb", "events_fired",
     )
 
     viewers: int
@@ -53,6 +54,9 @@ class SwarmScaleResult(ResultBase):
     shard_workers: int = 1
     mode: str = "inline"
     windows: int = 0
+    #: The largest shard's own peak RSS: a process-mode worker's high
+    #: water mark, which the coordinator's ``getrusage`` never sees.
+    worker_peak_rss_kb: int = 0
     events_fired: int = 0
 
     @property
@@ -75,6 +79,7 @@ class SwarmScaleResult(ResultBase):
             "shard_workers": self.shard_workers,
             "mode": self.mode,
             "windows": self.windows,
+            "worker_peak_rss_kb": self.worker_peak_rss_kb,
             "events_fired": self.events_fired,
         }
 
@@ -180,5 +185,6 @@ def run(
         shard_workers=report.workers,
         mode=report.mode,
         windows=report.windows,
+        worker_peak_rss_kb=max(shard["peak_rss_kb"] for shard in report.per_shard),
         events_fired=report.events_fired,
     )

@@ -1,9 +1,11 @@
 """tcpdump-style traffic capture.
 
-The PDN analyzer starts a capture on each peer container's virtual
-interface (the paper dumps ``docker0``); the dynamic detector then
-parses the captured datagrams for STUN binding requests followed by
-DTLS handshakes between candidate peer pairs (§III-C).
+The §III-C dynamic confirmer starts a capture scoped to its probes'
+virtual interfaces (the paper dumps ``docker0``), then parses the
+captured datagrams for STUN binding requests followed by DTLS
+handshakes between candidate peer pairs. A capture keeps every payload
+it records until it is dropped, so only code that reads one registers
+it; analyzer peer containers hold none.
 
 Memory: a capture is append-only by default, but ``max_packets``
 enables a ring-buffer mode mirroring the ``inbox_limit`` design on
@@ -38,7 +40,7 @@ class CapturedPacket:
 
     @property
     def size(self) -> int:
-        """Size."""
+        """Payload length in bytes (the UDP payload, no IP/UDP headers)."""
         return len(self.payload)
 
 
@@ -74,7 +76,12 @@ class TrafficCapture:
         self._taps: list = []
 
     def wants(self, packet: CapturedPacket) -> bool:
-        """Wants."""
+        """Whether :meth:`record` keeps ``packet``.
+
+        False once stopped; otherwise True for an unscoped capture, and
+        for a scoped one when either wire endpoint's IP is on its
+        interface.
+        """
         if not self._running:
             return False
         if self.interface_ips is None:

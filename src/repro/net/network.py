@@ -32,9 +32,11 @@ from repro.util.rand import DeterministicRandom
 DatagramHandler = Callable[[bytes, Endpoint, "UdpSocket"], None]
 
 #: Default :attr:`UdpSocket.inbox` ring-buffer capacity. Handlers are the
-#: production delivery path; the inbox exists so tests can poll without
-#: wiring callbacks, and a bounded ring keeps long swarm runs from
-#: accumulating every datagram ever delivered. Pass ``inbox_limit=None``
+#: production delivery path; the inbox exists so tests and bare swarms
+#: can poll a socket that has no handler, and a bounded ring keeps long
+#: swarm runs from accumulating every datagram ever delivered. A socket
+#: with a handler queues nothing, and setting a handler later leaves
+#: the datagrams already queued in the inbox. Pass ``inbox_limit=None``
 #: to :meth:`Host.bind_udp` for an unbounded inbox.
 DEFAULT_INBOX_LIMIT = 4096
 
@@ -58,11 +60,14 @@ class UdpSocket:
     """A bound UDP port on a host.
 
     Incoming datagrams are passed to ``handler(payload, src, socket)``
-    when one is set, and always appended to :attr:`inbox` so tests can
-    poll without wiring callbacks. The inbox is bounded at
-    ``inbox_limit`` entries — once full, the oldest half is evicted in
-    one batch (amortised O(1), and a plain list stays ~10x smaller per
-    idle socket than a deque ring). ``None`` disables the cap.
+    when one is set, and appended to :attr:`inbox` only when none is,
+    so tests can poll without wiring callbacks and a handled payload
+    lives no longer than its handler keeps it. Setting a handler later
+    leaves the datagrams already queued in the inbox. Every delivery
+    counts in :attr:`bytes_received` either way. The inbox is bounded
+    at ``inbox_limit`` entries — once full, the oldest half is evicted
+    in one batch (amortised O(1), and a plain list stays ~10x smaller
+    per idle socket than a deque ring). ``None`` disables the cap.
     """
 
     __slots__ = ("host", "port", "handler", "inbox", "closed",
@@ -118,30 +123,34 @@ class UdpSocket:
         self._net_send(self.host, self.port, dst, payload, self._wire_src)
 
     def deliver(self, payload: bytes, src: Endpoint) -> None:
-        """Push a message to the attached client, if any."""
+        """Hand a datagram to the handler, or queue it when there is none."""
         if self.closed:
             return
-        self.push(payload, src)
-        if self.handler is not None:
-            self.handler(payload, src, self)
+        handler = self.push(payload, src)
+        if handler is not None:
+            handler(payload, src, self)
 
-    def push(self, payload: bytes, src: Endpoint) -> None:
-        """Count the bytes and append to the inbox ring (no handler).
+    def push(self, payload: bytes, src: Endpoint) -> DatagramHandler | None:
+        """Count the bytes; queue them in the inbox ring only without a handler.
 
-        The one shared append/eviction implementation: :meth:`deliver`,
-        ``Network._deliver`` and the batched drain all funnel through
-        here, so the ring semantics — evict the oldest half in one
-        batch ``del`` once past the cap — cannot drift between call
-        sites. Handler dispatch stays with the callers: the batched
-        drain must flush its accounting before re-entrant handler code
-        runs, so this helper deliberately stops at the inbox.
+        Returns the handler the caller must call, or ``None`` once the
+        datagram is queued. This is the one place that chooses between
+        handler and inbox: :meth:`deliver`, ``Network._deliver`` and the
+        batched drain all call it, so neither that rule nor the ring
+        semantics — evict the oldest half in one batch ``del`` once past
+        the cap — can drift between call sites. Calling the handler
+        stays with the callers: the batched drain must flush its
+        accounting before re-entrant handler code runs.
         """
         self.bytes_received += len(payload)
-        inbox = self.inbox
-        inbox.append((payload, src))
-        limit = self.inbox_limit
-        if limit is not None and len(inbox) > limit:
-            del inbox[: len(inbox) - limit // 2]
+        handler = self.handler
+        if handler is None:
+            inbox = self.inbox
+            inbox.append((payload, src))
+            limit = self.inbox_limit
+            if limit is not None and len(inbox) > limit:
+                del inbox[: len(inbox) - limit // 2]
+        return handler
 
     def close(self) -> None:
         """Close and release resources."""
@@ -617,9 +626,9 @@ class Network:
             self._drop_in_flight("socket_closed")
             return
         self.datagrams_delivered += 1
-        sock.push(payload, src)
-        if sock.handler is not None:
-            sock.handler(payload, src, sock)
+        handler = sock.push(payload, src)
+        if handler is not None:
+            handler(payload, src, sock)
 
     def _drain_cursor(self, deadline: float, budget: int) -> int:
         """Fire the cursor's leading run of batched datagram rows.
@@ -700,8 +709,7 @@ class Network:
                     self._drop_in_flight("socket_closed")
                 else:
                     delivered += 1
-                    sock.push(payload, src)
-                    handler = sock.handler
+                    handler = sock.push(payload, src)
                     if handler is not None:
                         loop._live -= live
                         self.datagrams_in_flight -= in_flight

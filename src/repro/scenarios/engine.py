@@ -146,7 +146,7 @@ class SwarmViewerFactory:
     """Bind planned sessions to real analyzer peers watching the test bed.
 
     Viewers on ``watch_title`` get a full peer container (browser, SDK,
-    player, capture); viewers on other titles return ``None`` and are
+    player, resource monitor); viewers on other titles return ``None`` and are
     counted as background audience by the engine — the VoD long tail
     dilutes the measured swarm without paying for idle containers.
     """

@@ -27,9 +27,16 @@ DEFAULT_CHUNK_SIZE = 16000
 
 @dataclass
 class _OutgoingMessage:
+    """A sent message until its last chunk is acked.
+
+    It holds the caller's payload once; each (re)send slices its chunk
+    afresh, so no second copy of the message waits for acks.
+    """
+
     channel_id: int
     msg_id: int
-    chunks: list[bytes]
+    payload: bytes
+    chunk_total: int
     unacked: set[int] = field(default_factory=set)
     retries: int = 0
     timer: TimerHandle | None = None
@@ -78,21 +85,22 @@ class DataChannelLayer:
         """Send one message; returns its message id."""
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        chunks = [payload[i : i + self.chunk_size] for i in range(0, len(payload), self.chunk_size)]
-        if not chunks:
-            chunks = [b""]
-        if len(chunks) > 0xFFFF:
+        # An empty message still travels as one empty chunk.
+        total = max(1, -(-len(payload) // self.chunk_size))
+        if total > 0xFFFF:
             raise ProtocolError("message too large for 16-bit chunk count")
-        message = _OutgoingMessage(channel_id, msg_id, chunks, unacked=set(range(len(chunks))))
+        message = _OutgoingMessage(channel_id, msg_id, payload, total, unacked=set(range(total)))
         self._outgoing[(channel_id, msg_id)] = message
         self.messages_sent += 1
-        for index, chunk in enumerate(chunks):
-            self._transmit_chunk(message, index, chunk)
+        for index in range(total):
+            self._transmit_chunk(message, index)
         message.timer = self.loop.schedule(_RETRANSMIT_INTERVAL, self._retransmit, channel_id, msg_id)
         return msg_id
 
-    def _transmit_chunk(self, message: _OutgoingMessage, index: int, chunk: bytes) -> None:
-        header = _HEADER.pack(_DATA, message.channel_id, message.msg_id, index, len(message.chunks))
+    def _transmit_chunk(self, message: _OutgoingMessage, index: int) -> None:
+        start = index * self.chunk_size
+        chunk = message.payload[start : start + self.chunk_size]
+        header = _HEADER.pack(_DATA, message.channel_id, message.msg_id, index, message.chunk_total)
         self.bytes_sent += len(chunk)
         self.transmit(header + chunk)
 
@@ -107,7 +115,7 @@ class DataChannelLayer:
             return
         for index in sorted(message.unacked):
             self.chunks_retransmitted += 1
-            self._transmit_chunk(message, index, message.chunks[index])
+            self._transmit_chunk(message, index)
         message.timer = self.loop.schedule(_RETRANSMIT_INTERVAL, self._retransmit, channel_id, msg_id)
 
     # -- receiving -----------------------------------------------------------
@@ -155,5 +163,5 @@ class DataChannelLayer:
 
     @property
     def inflight_messages(self) -> int:
-        """Inflight messages."""
+        """Messages sent but not yet fully acked or abandoned."""
         return len(self._outgoing)

@@ -64,22 +64,6 @@ class TestAnalyzer:
         analyzer.teardown()
         assert analyzer.peers == []
 
-    def test_capture_scoped_to_peer(self):
-        from repro.core.analyzer import PdnAnalyzer
-
-        env = Environment(seed=78)
-        bed = build_test_bed(env, PEER5, video_segments=4)
-        analyzer = PdnAnalyzer(env)
-        peer_a = analyzer.create_peer(name="a")
-        peer_b = analyzer.create_peer(name="b")
-        peer_a.watch_test_stream(bed)
-        analyzer.run(5.0)
-        peer_b.watch_test_stream(bed)
-        analyzer.run(20.0)
-        a_ip = peer_a.browser.host.public_ip
-        for packet in peer_a.capture.packets:
-            assert a_ip in (packet.src.ip, packet.dst.ip)
-
     def test_reports_archived(self):
         from repro.core.analyzer import PdnAnalyzer
         from repro.attacks.harvesting import IpLeakTest

@@ -12,9 +12,14 @@ The pins run the registry's quick parameterisations at the default seed
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments  # noqa: F401  - triggers @experiment registration
 from repro.harness import registry
 from repro.harness.runner import execute_spec
@@ -72,6 +77,36 @@ EXPECTED_IP_LEAK_DIGESTS = {
 EXPECTED_IM_CHECKING_DIGEST = "f4c52917ec3ddf139334c5762953adc375507ad067d04b679554e4e49a3d0dbe"
 IM_CHECKING_HASH_BUDGET = 60
 SEGMENT_SIZED = 1_000_000  # bytes; segments are 3 MB, DTLS records 16 KB
+
+#: im-checking at the stack bench's ``im_dtls`` size (60 s of 3 MB
+#: segments, seed 2024): its digest, and the most bytes ``tracemalloc``
+#: may see live at once. At 60 s the analyzer peers stream segments peer
+#: to peer, which the quick 40 s run barely does, so this is where
+#: payload memory shows. A payload lives only as long as a reader holds
+#: it: a socket with a handler queues nothing, an analyzer peer holds no
+#: capture, and a data channel keeps one copy of each outgoing message.
+#: That peaks at ~90 MB traced; keeping every delivery in an inbox and
+#: a per-peer capture peaked at 127 MB.
+EXPECTED_IM_DTLS_DIGEST = "bed9e9fd213190f9e8828846e5061c9ecab43efe39956827abbe47074defafcc"
+IM_DTLS_PEAK_BUDGET = 105_000_000  # bytes
+
+#: Prints that run's digest and traced peak. It runs in a fresh
+#: interpreter: garbage waiting for the cyclic collector counts toward
+#: the peak, and how often the collector runs depends on how many
+#: objects earlier tests left alive (89.9 MB alone at any hash seed,
+#: 108 MB once measured late in a tier-1 run).
+IM_DTLS_PEAK_PROBE = """
+import tracemalloc
+import repro.experiments
+from repro.harness import registry
+from repro.harness.runner import execute_spec
+params = registry.get("im-checking").resolve_params(overrides={"duration": 60.0})
+tracemalloc.start()
+outcome = execute_spec("im-checking", %d, params)
+_, peak = tracemalloc.get_traced_memory()
+assert outcome.record.ok, outcome.record.error
+print(outcome.record.result_digest, peak)
+"""
 
 #: swarm-scale variant -> overrides on the quick params (400 viewers,
 #: 2,000 datagrams, one shard, inline) and the digest at seed 2024.
@@ -247,4 +282,29 @@ class TestImCheckingHashBudget:
         assert counting.passes <= IM_CHECKING_HASH_BUDGET, (
             f"{counting.passes} SHA-256 passes over segments; one per "
             f"(peer, segment) received is {IM_CHECKING_HASH_BUDGET}"
+        )
+
+
+class TestImCheckingMemoryBudget:
+    def test_im_dtls_run_stays_under_traced_peak_budget(self):
+        # REPRO_* knobs (DetSan, shard workers) would change what is measured.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONHASHSEED"] = "0"
+        proc = subprocess.run(
+            [sys.executable, "-c", IM_DTLS_PEAK_PROBE % PIN_SEED],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest, peak_text = proc.stdout.split()
+        peak = int(peak_text)
+        assert digest == EXPECTED_IM_DTLS_DIGEST, (
+            "im-checking at 60 s drifted from its pinned digest — if the "
+            "change is intentional, update EXPECTED_IM_DTLS_DIGEST"
+        )
+        assert peak <= IM_DTLS_PEAK_BUDGET, (
+            f"traced peak {peak / 1e6:.1f} MB over the "
+            f"{IM_DTLS_PEAK_BUDGET / 1e6:.0f} MB budget: is a payload "
+            f"kept after its reader is done with it?"
         )

@@ -69,6 +69,9 @@ class TestExecuteSpec:
         record = execute_spec("swarm-scale", seed=2024, params=params).record
         assert record.ok and record.extra["mode"] == "process"
         assert record.events_fired == record.extra["events_fired"] > 0
+        # The workers' own high-water marks, which getrusage(SELF) in
+        # the coordinator does not include.
+        assert record.extra["worker_peak_rss_kb"] > 0
 
 
 class TestRunner:

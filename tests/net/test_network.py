@@ -5,6 +5,7 @@ import pytest
 from repro.net import Endpoint, EventLoop, NatType, Network, TrafficCapture
 from repro.util.errors import AddressInUseError, ConfigurationError
 from repro.util.rand import DeterministicRandom
+from tests.chaos.gen import cancel_all, pad_past_depth_gate
 
 
 def make_network(**kwargs) -> Network:
@@ -348,3 +349,78 @@ class TestInboxBounds:
         for i in range(10_000):
             sock.deliver(b"x", src)
         assert len(sock.inbox) == 10_000
+
+
+class TestDeliveryRule:
+    """A socket with a handler hands each datagram to it and queues none.
+
+    Each delivery path makes the same choice: a handled datagram lives
+    only as long as its handler keeps it, while a handlerless socket on
+    the same network still queues into its bounded inbox. Both sockets
+    count every delivery in ``bytes_received``.
+    """
+
+    COUNT = 11
+
+    @staticmethod
+    def _sockets(net):
+        a = net.add_host("a")
+        b = net.add_host("b")
+        seen = []
+        handled = b.bind_udp(2000, lambda payload, src, sock: seen.append(payload))
+        polled = b.bind_udp(2001, inbox_limit=4)
+        return a.bind_udp(1000), handled, polled, seen
+
+    def _send(self, src, handled, polled):
+        for i in range(self.COUNT):
+            src.send(handled.endpoint, bytes([i]))
+            src.send(polled.endpoint, bytes([i]))
+
+    def _check(self, handled, polled, seen):
+        sent = [bytes([i]) for i in range(self.COUNT)]
+        assert seen == sent
+        assert handled.inbox == []
+        assert handled.bytes_received == self.COUNT
+        # 11 appends through a limit-4 ring evict at the 5th, 8th and
+        # 11th, leaving the last two: the eviction handlerless sockets
+        # have always had.
+        assert [payload for payload, _ in polled.inbox] == sent[-2:]
+        assert polled.bytes_received == self.COUNT
+
+    def test_heap_resident_delivery(self):
+        net = make_network(jitter=0.0)  # arrival order == send order
+        src, handled, polled, seen = self._sockets(net)
+        self._send(src, handled, polled)
+        assert net.loop.wheel_batched == 0  # shallow loop: all on the heap
+        net.loop.run_all()
+        assert net.datagrams_delivered == 2 * self.COUNT
+        self._check(handled, polled, seen)
+
+    def test_batched_drain(self):
+        net = make_network(jitter=0.0)  # arrival order == send order
+        src, handled, polled, seen = self._sockets(net)
+        pads = pad_past_depth_gate(net.loop)
+        self._send(src, handled, polled)
+        assert net.loop.wheel_batched == 2 * self.COUNT
+        cancel_all(pads)
+        net.loop.run_all()
+        assert net.datagrams_delivered == 2 * self.COUNT
+        self._check(handled, polled, seen)
+
+    def test_socket_deliver(self):
+        net = make_network(jitter=0.0)  # arrival order == send order
+        src, handled, polled, seen = self._sockets(net)
+        for i in range(self.COUNT):
+            handled.deliver(bytes([i]), src.endpoint)
+            polled.deliver(bytes([i]), src.endpoint)
+        self._check(handled, polled, seen)
+
+    def test_handler_set_later_leaves_queued_datagrams(self):
+        net = make_network()
+        src, _, polled, seen = self._sockets(net)
+        polled.deliver(b"queued", src.endpoint)
+        polled.handler = lambda payload, _src, _sock: seen.append(payload)
+        polled.deliver(b"handled", src.endpoint)
+        assert [payload for payload, _ in polled.inbox] == [b"queued"]
+        assert seen == [b"handled"]
+        assert polled.bytes_received == len(b"queued") + len(b"handled")
