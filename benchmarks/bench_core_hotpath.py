@@ -35,6 +35,7 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.harness.profile import WheelStats
 from repro.net.capture import TrafficCapture
 from repro.net.clock import EventLoop
 from repro.net.network import Network
@@ -153,8 +154,9 @@ def bench_swarm(viewers: int, datagrams: int, capture: bool = False) -> dict:
         "datagrams_per_sec": sent / timer.elapsed if timer.elapsed else 0.0,
         "peak_rss_kb": peak_rss_kb(),
         # Timing-wheel counters: in a healthy run nearly every delivery
-        # is in-band (scheduled >> overflow); a collapsing ratio means
-        # the wheel geometry no longer matches the latency band.
+        # past the depth gate is in-band (batched >> overflow); a
+        # collapsing ratio means the wheel geometry no longer matches
+        # the latency band.
         "wheel": net.loop.wheel_stats(),
     }
 
@@ -196,6 +198,10 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
     first = rungs[str(min(int(k) for k in rungs))]
     final = rungs[str(report.workers)]
     wall = final["wall_seconds"]
+    # The same merge --profile applies: counters sum, occupancy maxes.
+    wheel = WheelStats()
+    for shard in report.per_shard:
+        wheel.absorb_remote(f"shard:{shard['shard']}", shard["wheel"])
     out = {
         "arrivals": arrivals,
         "datagrams": report.totals["sent"],
@@ -208,7 +214,7 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
         "events_per_sec": final["events_per_sec"],
         "datagrams_per_sec": report.totals["sent"] / wall if wall else 0.0,
         "peak_rss_kb": max(final["worker_peak_rss_kb"]),
-        "wheel": report.wheel_summary(),
+        "wheel": wheel.to_dict(),
     }
     if len(rungs) > 1 and "1" in rungs:
         out["speedup_vs_1"] = first["wall_seconds"] / wall if wall else 0.0
@@ -320,7 +326,7 @@ def render(report: dict) -> str:
             parts.append(f"rss {s['peak_rss_kb'] / 1024:,.0f} MiB")
         if "wheel" in s:
             wheel = s["wheel"]
-            parts.append(f"wheel {wheel['scheduled']:,} in-band / "
+            parts.append(f"wheel {wheel['batched']:,} batched / "
                          f"{wheel['overflow']:,} overflow")
         if "speedup_vs_1" in s:
             ladder = "/".join(sorted(s["workers"], key=int))

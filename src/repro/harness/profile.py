@@ -11,7 +11,7 @@ creates is covered — experiments routinely build several
 - :class:`SiteProfiler` — events grouped by *callback site* (module +
   qualified name), surfaced by ``repro <exp> --profile``, with timing-
   wheel counters folded in;
-- :class:`WheelStats` — the timing wheel's in-band/overflow totals and
+- :class:`WheelStats` — the timing wheel's batched/overflow totals and
   peak occupancy across every observed loop;
 - :class:`TraceSink` — a bounded ``(when, site)`` trace for debugging.
 
@@ -72,9 +72,10 @@ class WheelStats:
     """Timing-wheel counters sampled per fired event, across every loop.
 
     Reads :meth:`EventLoop.wheel_occupancy` and the loop's cumulative
-    ``wheel_scheduled`` / ``wheel_overflow`` counters; per-loop last
-    snapshots are summed so several loops (experiments routinely build
-    more than one ``Environment``) aggregate correctly.
+    ``wheel_overflow`` / ``wheel_batched`` / ``wheel_batch_drains``
+    counters; per-loop last snapshots are summed so several loops
+    (experiments routinely build more than one ``Environment``)
+    aggregate correctly.
     """
 
     def __init__(self) -> None:
@@ -82,7 +83,7 @@ class WheelStats:
         #: Keyed by the observed EventLoop, or by an opaque string for
         #: wheel snapshots absorbed from shard worker processes
         #: (:meth:`absorb_remote`) — both map to the same snapshot shape.
-        self._loops: dict[object, tuple[int, int, int, int]] = {}
+        self._loops: dict[object, tuple[int, int, int]] = {}
 
     def absorb_remote(self, key: str, wheel: dict) -> None:
         """Fold one remote loop's wheel counters into the aggregate.
@@ -100,7 +101,6 @@ class WheelStats:
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
         self._loops[key] = (
-            wheel.get("scheduled", 0),
             wheel.get("overflow", 0),
             wheel.get("batched", 0),
             wheel.get("batch_drains", 0),
@@ -112,37 +112,30 @@ class WheelStats:
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
         self._loops[loop] = (
-            loop.wheel_scheduled,
             loop.wheel_overflow,
             loop.wheel_batched,
             loop.wheel_batch_drains,
         )
 
     @property
-    def scheduled(self) -> int:
-        """Total events that took the wheel's in-band bucket path."""
+    def overflow(self) -> int:
+        """Deliveries past the depth gate that fell through to the heap."""
         return sum(snap[0] for snap in self._loops.values())
 
     @property
-    def overflow(self) -> int:
-        """Total events that fell through to the heap."""
-        return sum(snap[1] for snap in self._loops.values())
-
-    @property
     def batched(self) -> int:
-        """In-band datagrams carried as columnar batch rows."""
-        return sum(snap[2] for snap in self._loops.values())
+        """In-band deliveries carried as columnar wheel rows."""
+        return sum(snap[1] for snap in self._loops.values())
 
     @property
     def batch_drains(self) -> int:
         """Drain frames entered: ``batched / batch_drains`` is the mean
         datagrams delivered per callback frame."""
-        return sum(snap[3] for snap in self._loops.values())
+        return sum(snap[2] for snap in self._loops.values())
 
     def to_dict(self) -> dict:
         """Serialise for the JSON output format."""
         return {
-            "scheduled": self.scheduled,
             "overflow": self.overflow,
             "batched": self.batched,
             "batch_drains": self.batch_drains,
@@ -151,10 +144,12 @@ class WheelStats:
 
 
 def render_wheel_summary(wheel: dict) -> str:
-    """One line summarising a :meth:`WheelStats.to_dict` payload."""
+    """One line summarising a :meth:`WheelStats.to_dict` payload.
+
+    The batched-delivery clause appears once a drain has run.
+    """
     line = (
-        f"timing wheel: {wheel['scheduled']:,} in-band, "
-        f"{wheel['overflow']:,} heap overflow, "
+        f"timing wheel: {wheel['overflow']:,} heap overflow, "
         f"peak occupancy {wheel['max_occupancy']:,}"
     )
     drains = wheel.get("batch_drains", 0)

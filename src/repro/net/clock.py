@@ -10,15 +10,15 @@ The loop is the hottest code in the simulator (million-datagram swarms
 fire one event per delivery), so the scheduler is two-tier:
 
 - a **timing wheel** (calendar queue) of fixed-width buckets covering
-  the narrow in-flight-datagram delay band — O(1) append on schedule,
-  one small Timsort per bucket at dispatch time — holds the short-delay
-  timer class that dominates at swarm depth;
-- the classic **binary heap** holds everything out of band: long fault
-  timers, repeating :meth:`EventLoop.call_every` handles, and wheel
-  overflow.
+  the narrow in-flight-datagram delay band holds datagram deliveries
+  and nothing else: :meth:`EventLoop._push_datagram`, its one enqueue,
+  appends in O(1), and dispatch sorts one small bucket at a time;
+- the classic **binary heap** holds every timer (``schedule``,
+  ``schedule_at``, ``call_every``) and every delivery the wheel does
+  not take.
 
-The wheel only pays once buckets fill, so it follows queue depth: an
-entry goes on the wheel only while the loop holds at least ``2 *
+The wheel only pays once buckets fill, so it follows queue depth: a
+delivery goes on the wheel only while the loop holds at least ``2 *
 slots`` live entries (the *depth gate*). A shallower loop pushes
 straight onto the heap, which then skips the wheel's empty-slot
 probing and one-row batched drains (``docs/PERFORMANCE.md`` has the
@@ -62,7 +62,7 @@ _INFINITY = float("inf")
 #: horizon — wide enough for the default latency model's delay band
 #: (20 ms same-region / 120 ms cross-region base plus jitter) with slack
 #: for the wheel origin trailing ``now``. :class:`~repro.net.network.
-#: Network` retunes its loop from the latency model's actual band via
+#: Network` sizes its loop from its latency knobs via
 #: :meth:`EventLoop.configure_wheel_for_band`.
 DEFAULT_WHEEL_SLOTS = 512
 DEFAULT_WHEEL_WIDTH = 0.0005
@@ -113,9 +113,8 @@ class RepeatingHandle(TimerHandle):
     the loop's queue: after each tick it re-inserts itself, advancing
     :attr:`when` to the next occurrence. ``cancel()`` therefore stops
     the chain directly, and the loop's ``pending`` count sees exactly
-    one entry per repeating timer. Repeating timers are a heap-class
-    timer by design — they span arbitrary intervals, so they bypass the
-    wheel entirely (see the module docstring).
+    one entry per repeating timer. Like every timer, it lives on the
+    heap (see the module docstring).
     """
 
     __slots__ = ("interval", "until")
@@ -142,40 +141,35 @@ class RepeatingHandle(TimerHandle):
         if self.cancelled:  # the callback may cancel its own chain
             return
         self.when = loop.now + self.interval
-        self._loop = loop
-        loop._live += 1
-        heappush(loop._heap, (self.when, next(loop._seq), self))
+        loop._push(self)
 
 
 class EventLoop:
     """A two-tier (timing wheel + binary heap) discrete-event scheduler.
 
-    The wheel covers ``[_wheel_tick * width, (_wheel_tick + slots) *
-    width)``: once the loop is past the depth gate, an entry whose
-    bucket index (``int(when / width)``) falls in that window is
-    appended to its bucket in O(1); everything else — every entry of a
-    shallow loop, and every entry while the wheel is disabled — goes to
-    the heap. At dispatch time the next due bucket is *collected*: sorted
-    descending by ``(when, seq)`` into ``_cursor`` so ``cursor.pop()``
-    yields events in ascending order, then merged entry-by-entry
-    against the heap top. Buckets partition time, so every uncollected
-    wheel entry is strictly later than every cursor entry, and the
-    global minimum is always ``min(cursor[-1], heap[0])``.
-
-    **Batched datagram columns.** Each slot additionally owns three
+    Timers are ``(when, seq, handle)`` entries on the heap. The wheel
+    covers ``[_wheel_tick * width, (_wheel_tick + slots) * width)`` and
+    holds datagram deliveries only: once the loop is past the depth
+    gate, :meth:`_push_datagram` appends a delivery whose bucket index
+    (``int(when / width)``) falls in that window to its slot's three
     *column rings* — ``array('d')`` of whens, ``array('q')`` of seqs,
     and a flat stride-4 object list of ``(host, port, payload, src)``
-    fields — that :meth:`_push_datagram` appends in-band datagram
-    deliveries into instead of building per-datagram entry tuples
-    (:meth:`set_datagram_plane`). The columns are preallocated with the
-    wheel geometry and cleared in place at collect time, so the same
-    arrays are reused lap after lap. Collection zips the columns into
-    sortable 6-field rows ``(when, seq, host, port, payload, src)``,
-    sorts them together with the slot's generic entries — ``(when,
-    seq)`` is a unique prefix, so mixed-shape tuples compare safely —
-    and dispatch hands each contiguous run of rows to the installed
-    drain in **one callback frame**, still merging per item against the
-    heap top so dispatch order stays bit-identical to a pure-heap loop.
+    fields — instead of building a per-datagram entry tuple. Every
+    other delivery goes to the heap as ``(when, seq, callback, args)``.
+    The columns are preallocated with the wheel geometry and cleared in
+    place at collect time, so the same arrays are reused lap after lap.
+
+    At dispatch time the next due slot is *collected*: its columns are
+    zipped into 6-field rows ``(when, seq, host, port, payload, src)``
+    and sorted descending into ``_cursor``, so ``cursor.pop()`` yields
+    them in ascending order. Buckets partition time, so every
+    uncollected row is strictly later than every cursor row, and the
+    global minimum is always ``min(cursor[-1], heap[0])`` by the unique
+    ``(when, seq)`` prefix. When the cursor's top comes first, dispatch
+    hands the run of due rows to the installed drain
+    (:meth:`set_datagram_plane`) in **one callback frame**, which still
+    merges per item against the heap top so dispatch order stays
+    bit-identical to a pure-heap loop.
     """
 
     #: Slotted for the same reason the per-packet classes are: the
@@ -183,11 +177,10 @@ class EventLoop:
     #: per event, and slot access skips the instance-dict indirection.
     __slots__ = (
         "now", "_heap", "_seq", "_events_fired", "_live",
-        "_wheel", "_cursor", "_wheel_tick", "_wheel_count",
+        "_cursor", "_wheel_tick", "_wheel_count",
         "_wheel_width", "_wheel_inv", "_wheel_slots", "_wheel_gate",
         "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback",
-        "wheel_scheduled", "wheel_overflow",
-        "wheel_batched", "wheel_batch_drains",
+        "wheel_overflow", "wheel_batched", "wheel_batch_drains",
     )
 
     #: Class-wide observer sinks (see :mod:`repro.harness.profile`). A
@@ -200,11 +193,7 @@ class EventLoop:
     #: only client.
     _trace: ClassVar[Any] = None
 
-    def __init__(
-        self,
-        wheel_width: float | None = None,
-        wheel_slots: int | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple] = []
         self._seq = itertools.count()
@@ -213,17 +202,16 @@ class EventLoop:
         #: O(1) source of :attr:`pending`, maintained by push/cancel/pop.
         self._live = 0
         # -- timing wheel state (geometry set by configure_wheel) ------
-        self._wheel: list[list] = []
         self._cursor: list = []  # collected bucket, sorted descending
         self._wheel_tick = 0  # next bucket index not yet collected
-        self._wheel_count = 0  # entries resident in buckets (not cursor)
+        self._wheel_count = 0  # rows resident in columns (not cursor)
         self._wheel_width = 0.0
         self._wheel_inv = 0.0
         self._wheel_slots = 0
         #: Live entries the loop must hold before the wheel takes one
         #: (``2 * slots``; 0 while the wheel is disabled).
         self._wheel_gate = 0
-        # -- batched datagram columns (see the class docstring) --------
+        # -- datagram columns, one triple per slot (class docstring) ---
         self._bwhen: list = []
         self._bseq: list = []
         self._bobjs: list = []
@@ -232,15 +220,10 @@ class EventLoop:
         self._dg_drain: Any = None
         self._dg_callback: Any = None
         #: Cumulative wheel counters, surfaced by :meth:`wheel_stats`.
-        self.wheel_scheduled = 0
         self.wheel_overflow = 0
         self.wheel_batched = 0
         self.wheel_batch_drains = 0
-        if wheel_slots is None:
-            wheel_slots = DEFAULT_WHEEL_SLOTS
-        if wheel_width is None:
-            wheel_width = DEFAULT_WHEEL_WIDTH
-        self.configure_wheel(wheel_width if wheel_slots else None, wheel_slots)
+        self.configure_wheel(DEFAULT_WHEEL_WIDTH, DEFAULT_WHEEL_SLOTS)
 
     # -- instrumentation -------------------------------------------------
 
@@ -268,14 +251,14 @@ class EventLoop:
         """Install the network's batched datagram delivery plane.
 
         ``drain(deadline, budget) -> fired`` is invoked by the fire
-        kernel whenever the cursor's minimum is a batched 6-field row: it
+        kernel whenever the cursor's top row comes before the heap top: it
         must pop and fire consecutive due rows (merging per item against
         the heap top, where it may fire a heap-top entry carrying
         ``callback`` itself, and honouring ``deadline``/``budget``) and
         return how many it fired. ``callback`` is the representative
-        per-datagram callable — what a classic entry would have carried
-        — used to synthesize legacy-shaped entries for sinks, the trace
-        hook, flushes to the heap, and :meth:`_iter_queued` (see
+        per-datagram callable — what a heap-resident delivery carries —
+        used to synthesize that entry shape for sinks, the trace hook,
+        flushes to the heap, and :meth:`_iter_queued` (see
         :meth:`_datagram_entry`).
         """
         self._dg_drain = drain
@@ -301,7 +284,6 @@ class EventLoop:
         return {
             "slots": self._wheel_slots,
             "bucket_width": self._wheel_width,
-            "scheduled": self.wheel_scheduled,
             "overflow": self.wheel_overflow,
             "occupancy": self.wheel_occupancy,
             "batched": self.wheel_batched,
@@ -317,16 +299,12 @@ class EventLoop:
     def _iter_queued(self):
         """Yield every queued entry across both tiers (tests/debug only).
 
-        Batched datagram rows — column-resident or already collected
-        into the cursor — surface in the legacy ``(when, seq, callback,
-        args)`` shape so queue scans need only one tuple vocabulary.
+        Wheel rows — column-resident or already collected into the
+        cursor — surface in the legacy ``(when, seq, callback, args)``
+        shape so queue scans need only one tuple vocabulary.
         """
         yield from self._heap
-        for entry in self._cursor:
-            yield self._datagram_entry(entry) if len(entry) == 6 else entry
-        for bucket in self._wheel:
-            yield from bucket
-        for row in self._column_rows():
+        for row in itertools.chain(self._cursor, self._column_rows()):
             yield self._datagram_entry(row)
 
     # -- wheel geometry --------------------------------------------------
@@ -340,24 +318,18 @@ class EventLoop:
 
         The depth gate follows the geometry: ``2 * slots`` live entries,
         about four per bucket across a band that fills half the wheel.
-        Safe mid-run: bucket-resident entries are flushed to the heap
-        and dispatch merges the tiers by ``(when, seq)``, so event order
-        is unchanged. The already-collected cursor is left in place for
-        the same reason. Counters survive reconfiguration.
+        Safe mid-run: column-resident rows are flushed to the heap in the
+        legacy entry shape and dispatch merges the tiers by ``(when,
+        seq)``, so event order is unchanged. The already-collected
+        cursor is left in place for the same reason. Counters survive
+        reconfiguration.
         """
         if bucket_width is not None and bucket_width <= 0:
             raise ConfigurationError(f"bucket width must be positive (got {bucket_width})")
         heap = self._heap
-        for bucket in self._wheel:
-            for entry in bucket:
-                heappush(heap, entry)
-        # Batched datagram rows flush in the legacy entry shape, so a
-        # reconfigured (or disabled) wheel degrades to the classic
-        # per-entry heap path with order intact.
         for row in self._column_rows():
             heappush(heap, self._datagram_entry(row))
         if bucket_width is None or slots <= 0:
-            self._wheel = []
             self._bwhen = []
             self._bseq = []
             self._bobjs = []
@@ -367,7 +339,6 @@ class EventLoop:
             self._wheel_gate = 0
             self._wheel_tick = 0
         else:
-            self._wheel = [[] for _ in range(slots)]
             self._bwhen = [array("d") for _ in range(slots)]
             self._bseq = [array("q") for _ in range(slots)]
             self._bobjs = [[] for _ in range(slots)]
@@ -378,103 +349,67 @@ class EventLoop:
             self._wheel_tick = int(self.now * self._wheel_inv)
         self._wheel_count = 0
 
-    def configure_wheel_for_band(
-        self,
-        max_delay: float,
-        slots: int = DEFAULT_WHEEL_SLOTS,
-    ) -> None:
-        """Pick a bucket width so delays up to ``max_delay`` stay in-band.
+    def configure_wheel_for_band(self, max_delay: float) -> None:
+        """Size :data:`DEFAULT_WHEEL_SLOTS` buckets so delays up to
+        ``max_delay`` stay in-band.
 
         The horizon is 2x the band: the wheel origin trails ``now`` by
-        up to one collected bucket plus scheduling slack, and anything
+        up to one collected bucket plus scheduling slack, and a delivery
         past the horizon (fault impairments, uplink queueing spikes)
-        overflows to the heap, which is exactly where rare long timers
-        belong.
+        overflows to the heap.
         """
-        if slots <= 0:
-            self.configure_wheel(None, 0)
-            return
+        slots = DEFAULT_WHEEL_SLOTS
         width = (2.0 * max_delay) / slots
         if width < MIN_WHEEL_WIDTH:
             width = MIN_WHEEL_WIDTH
         if width == self._wheel_width and slots == self._wheel_slots:
-            # Same geometry: skip the reconfigure so steady-state
-            # auto-retune checks don't flush bucket residents for
-            # nothing. (An idle wheel whose origin trails `now` resyncs
-            # itself in _overflow.)
+            # Same geometry: a knob assignment that leaves the band
+            # where it was keeps the columns and their residents.
             return
         self.configure_wheel(width, slots)
 
     # -- scheduling ------------------------------------------------------
 
-    def _enqueue(self, entry: tuple) -> None:
-        """Route one ``(when, seq, …)`` entry to the wheel or the heap.
-
-        The caller has already counted the entry in ``_live``. Below the
-        depth gate it goes straight to the heap and is not overflow:
-        the wheel was skipped, not missed. (A disabled wheel's gate is
-        0, so its entries keep counting as overflow.)
-        """
-        if self._live <= self._wheel_gate:
-            heappush(self._heap, entry)
-            return
-        tick = int(entry[0] * self._wheel_inv)
-        if 0 <= tick - self._wheel_tick < self._wheel_slots:
-            self._wheel[tick % self._wheel_slots].append(entry)
-            self._wheel_count += 1
-            self.wheel_scheduled += 1
-        else:
-            self._overflow(entry)
-
-    def _overflow(self, entry: tuple) -> None:
-        """Heap fallback for out-of-band entries (resyncs an idle wheel)."""
-        if self._wheel_slots and not self._wheel_count and not self._cursor:
-            base = int(self.now * self._wheel_inv)
-            if base > self._wheel_tick:
-                # The wheel sat idle while heap events advanced the
-                # clock; drag the origin forward and re-route the entry
-                # (an origin already at ``now`` cannot recurse again).
-                self._wheel_tick = base
-                self._enqueue(entry)
-                return
-        self.wheel_overflow += 1
-        heappush(self._heap, entry)
-
     def _push_datagram(self, when: float, host: Any, port: int, payload: bytes, src: Any) -> None:
-        """Queue one datagram delivery: the network data plane's enqueue.
+        """Queue one datagram delivery: the only code that fills a wheel slot.
 
-        Past the depth gate, in-band deliveries take three O(1) appends
-        into the slot's reused column rings, so no per-datagram entry
-        tuple survives to the old GC generations; everything else (fault
-        impairments, uplink queueing spikes, a disabled wheel) falls
-        through to :meth:`_overflow` as a classic entry carrying the
-        plane's callback. Below the gate every delivery is such a
-        classic entry, pushed straight onto the heap as in
-        :meth:`_enqueue`. The caller guarantees ``when >= now``, and the
-        delivery cannot be cancelled.
+        Past the depth gate, an in-band delivery takes three O(1)
+        appends into its slot's reused column rings, so no per-datagram
+        entry tuple survives to the old GC generations. Every other
+        delivery is a heap entry ``(when, seq, callback, (host, port,
+        payload, src))`` carrying the plane's callback; past the gate
+        (fault impairments, uplink queueing spikes, a disabled wheel)
+        it counts as overflow, below it the wheel was skipped, not
+        missed. An idle wheel (no residents, empty cursor) whose origin
+        trails ``now`` — heap events advanced the clock meanwhile —
+        first moves its origin up to ``now``, so a swarm that goes quiet
+        and resumes does not stay out of band. The caller guarantees
+        ``when >= now``, and the delivery cannot be cancelled.
         """
         self._live += 1
-        if self._live <= self._wheel_gate:
-            heappush(self._heap, (when, next(self._seq), self._dg_callback,
-                                  (host, port, payload, src)))
-            return
-        tick = int(when * self._wheel_inv)
-        if 0 <= tick - self._wheel_tick < self._wheel_slots:
-            slot = tick % self._wheel_slots
-            self._bwhen[slot].append(when)
-            self._bseq[slot].append(next(self._seq))
-            self._bobjs[slot] += (host, port, payload, src)
-            self._wheel_count += 1
-            self.wheel_scheduled += 1
-            self.wheel_batched += 1
-        else:
-            self._overflow((when, next(self._seq), self._dg_callback, (host, port, payload, src)))
+        if self._live > self._wheel_gate:
+            if not self._wheel_count and not self._cursor:
+                base = int(self.now * self._wheel_inv)
+                if base > self._wheel_tick:
+                    self._wheel_tick = base
+            tick = int(when * self._wheel_inv)
+            if 0 <= tick - self._wheel_tick < self._wheel_slots:
+                slot = tick % self._wheel_slots
+                self._bwhen[slot].append(when)
+                self._bseq[slot].append(next(self._seq))
+                self._bobjs[slot] += (host, port, payload, src)
+                self._wheel_count += 1
+                self.wheel_batched += 1
+                return
+            self.wheel_overflow += 1
+        heappush(self._heap, (when, next(self._seq), self._dg_callback,
+                              (host, port, payload, src)))
 
     def _push(self, handle: TimerHandle) -> None:
-        """Queue ``handle`` and account for it in the live counter."""
+        """Queue ``handle`` on the heap and count it as live."""
         handle._loop = self
         self._live += 1
-        self._enqueue((handle.when, next(self._seq), handle))
+        heappush(self._heap, (handle.when, next(self._seq), handle))
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerHandle:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
@@ -504,66 +439,46 @@ class EventLoop:
         Returns the :class:`RepeatingHandle` driving the chain: its
         ``when`` always points at the next occurrence, and ``cancel()``
         stops the repetition. A tick scheduled past ``until`` fires
-        nothing and ends the chain. Repeating handles live on the heap,
-        never the wheel, matching :meth:`RepeatingHandle._fire`'s
-        re-insertion.
+        nothing and ends the chain.
         """
         if interval <= 0:
             raise ConfigurationError("interval must be positive")
         handle = RepeatingHandle(self.now + interval, callback, args, interval, until)
-        handle._loop = self
-        self._live += 1
-        heappush(self._heap, (handle.when, next(self._seq), handle))
+        self._push(handle)
         return handle
 
     # -- execution -------------------------------------------------------
 
     def _collect(self) -> None:
-        """Move the next nonempty bucket into the sorted cursor.
+        """Move the next nonempty slot's rows into the sorted cursor.
 
         Only called when the cursor is empty and ``_wheel_count > 0``;
-        every resident entry lies within one lap ahead of
-        ``_wheel_tick`` (the enqueue band check guarantees it), so the
-        scan terminates within ``slots`` probes. The bucket is sorted
-        descending so ``cursor.pop()`` yields ``(when, seq)`` ascending.
-
-        A slot's batched datagram columns are zipped into 6-field rows
-        here, sorted together with the slot's generic entries (the
-        unique ``(when, seq)`` prefix makes mixed-shape comparison
-        safe), and the columns are cleared *in place* so their backing
-        arrays are reused on the wheel's next lap.
+        every resident row lies within one lap ahead of ``_wheel_tick``
+        (the enqueue band check guarantees it), so the scan terminates
+        within ``slots`` probes. The slot's columns are zipped into
+        6-field rows, sorted descending so ``cursor.pop()`` yields
+        ``(when, seq)`` ascending, and cleared *in place* so their
+        backing arrays are reused on the wheel's next lap.
         """
-        wheel = self._wheel
         bwhen = self._bwhen
         n = self._wheel_slots
         tick = self._wheel_tick
         slot = tick % n
-        bucket = wheel[slot]
-        while not bucket and not bwhen[slot]:
+        while not bwhen[slot]:
             tick += 1
             slot = tick % n
-            bucket = wheel[slot]
         self._wheel_tick = tick + 1
         when = bwhen[slot]
-        if when:
-            seq = self._bseq[slot]
-            objs = self._bobjs[slot]
-            it = iter(objs)
-            rows = list(zip(when, seq, it, it, it, it))
-            self._wheel_count -= len(rows) + len(bucket)
-            if bucket:
-                rows += bucket
-                wheel[slot] = []
-            del when[:]
-            del seq[:]
-            del objs[:]
-            rows.sort(reverse=True)
-            self._cursor = rows
-        else:
-            wheel[slot] = []
-            self._wheel_count -= len(bucket)
-            bucket.sort(reverse=True)
-            self._cursor = bucket
+        seq = self._bseq[slot]
+        objs = self._bobjs[slot]
+        it = iter(objs)
+        rows = list(zip(when, seq, it, it, it, it))
+        self._wheel_count -= len(rows)
+        del when[:]
+        del seq[:]
+        del objs[:]
+        rows.sort(reverse=True)
+        self._cursor = rows
 
     def _drain(self, deadline: float, budget: int) -> int:
         """Fire due events in ``(when, seq)`` order; the only fire loop.
@@ -573,16 +488,17 @@ class EventLoop:
         public runner is a thin policy over this kernel.
 
         Selection invariant: :meth:`_collect` runs whenever the cursor
-        is empty and buckets are not, so the wheel's minimum entry is
+        is empty and the columns are not, so the wheel's minimum row is
         always ``cursor[-1]`` and the global minimum is the smaller of
         ``cursor[-1]`` and ``heap[0]`` by ``(when, seq)`` tuple
-        comparison (seq is unique, so the comparison never reaches the
-        callback element). A 6-field batched row at the cursor top hands
-        the whole run of due rows to the datagram plane's drain in one
-        frame, with the remaining budget. Anonymous 4-tuples (datagram
-        deliveries that went to the heap) skip the cancelled check and
-        handle bookkeeping, and sinks receive the raw 4-tuple for them
-        (see ``repro.harness.profile.callback_of``). The fired count is
+        comparison (seq is unique, so the comparison never reaches a
+        third element). When the cursor's top comes first, the whole run
+        of due rows goes to the datagram plane's drain in one frame,
+        with the remaining budget; otherwise the heap top fires here.
+        Anonymous 4-tuples (datagram deliveries that went to the heap)
+        skip the cancelled check and handle bookkeeping, and sinks
+        receive the raw 4-tuple for them (see
+        ``repro.harness.profile.callback_of``). The fired count is
         flushed to ``events_fired`` in a ``finally``, so the counter is
         only guaranteed current *between* drains — no in-tree callback
         reads it mid-drain.
@@ -597,30 +513,17 @@ class EventLoop:
                 if not cursor and self._wheel_count:
                     self._collect()
                     cursor = self._cursor
-                if cursor:
-                    top = cursor[-1]
-                    if heap and heap[0] < top:
-                        if heap[0][0] > deadline:
-                            break
-                        entry = heappop(heap)
-                    elif len(top) == 6:
-                        # Zero fired means the cursor minimum lies
-                        # beyond the deadline.
-                        n = self._dg_drain(deadline, budget - fired)
-                        if n == 0:
-                            break
-                        fired += n
-                        continue
-                    else:
-                        if top[0] > deadline:
-                            break
-                        entry = cursor.pop()
-                elif heap:
-                    if heap[0][0] > deadline:
+                if cursor and (not heap or cursor[-1] < heap[0]):
+                    # Zero fired means the cursor minimum lies beyond
+                    # the deadline.
+                    n = self._dg_drain(deadline, budget - fired)
+                    if n == 0:
                         break
-                    entry = heappop(heap)
-                else:
+                    fired += n
+                    continue
+                if not heap or heap[0][0] > deadline:
                     break
+                entry = heappop(heap)
                 if len(entry) == 4:
                     self._live -= 1
                     self.now = entry[0]

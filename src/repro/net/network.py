@@ -40,21 +40,6 @@ DatagramHandler = Callable[[bytes, Endpoint, "UdpSocket"], None]
 #: to :meth:`Host.bind_udp` for an unbounded inbox.
 DEFAULT_INBOX_LIMIT = 4096
 
-#: Auto-retune cadence: the send path checks wheel health every this
-#: many datagrams (a power of two, so the hot-path check is one mask).
-#: The *first* boundary doubles as end-of-warm-up — the wheel narrows
-#: unconditionally from the constructor's worst-case band to the
-#: latency classes the first 8192 sends actually used.
-AUTO_RETUNE_CHECK_INTERVAL = 8192
-
-#: Re-derive the wheel geometry when more than this share of entries
-#: scheduled since the previous check overflowed to the heap. A healthy
-#: swarm overflows ~never (see ``docs/PERFORMANCE.md``); a quarter of
-#: traffic falling out of band means the geometry no longer matches
-#: the latency band (a knob changed, or fault impairments stretched
-#: delays) and a retune is cheaper than sustained heap sifts.
-AUTO_RETUNE_OVERFLOW_SHARE = 0.25
-
 
 class UdpSocket:
     """A bound UDP port on a host.
@@ -238,9 +223,6 @@ class Network:
     ) -> None:
         self.loop = loop or EventLoop()
         self.rand = (rand or DeterministicRandom(0)).fork("network")
-        # Set by the send paths once any datagram crosses regions, so
-        # _tune_wheel keeps sizing the wheel for the cross-region band.
-        self._saw_cross_region = False
         # Direct assignment (not the property setters): the setters
         # retune the loop's timing wheel, which wants every latency knob
         # in place first — one _tune_wheel() call below covers them all.
@@ -254,11 +236,6 @@ class Network:
         self._next_public_ip = ip_to_int("5.0.0.1")
         self._next_nat_subnet = itertools.count(1)
         self.datagrams_sent = 0
-        #: Auto-retune state: ``_retune_mark`` holds the (scheduled,
-        #: overflow) counters at the previous check so the overflow
-        #: share is computed per window, not cumulatively.
-        self._retune_warmed = False
-        self._retune_mark = (0, 0)
         self.datagrams_dropped = 0
         self.datagrams_delivered = 0
         self.datagrams_in_flight = 0
@@ -309,50 +286,15 @@ class Network:
         self._tune_wheel()
 
     def _tune_wheel(self) -> None:
-        """Size the loop's timing wheel from the latency model's band.
+        """Size the loop's timing wheel from the latency knobs.
 
         The in-flight-datagram delay band runs from the 1 ms floor up to
-        the largest base latency plus folded jitter. Observed traffic
-        narrows it: once datagrams have been sent and none crossed
-        regions, the band is the same-region base alone, so an
-        all-same-region swarm gets ~5x finer buckets than the
-        cross-region worst case under the default knobs. Before any
-        traffic the knobs bound the band. Reconfiguring mid-run is
-        order-safe (see :meth:`~repro.net.clock.EventLoop.configure_wheel`).
+        the larger base latency plus folded jitter, whatever traffic
+        flows. Reconfiguring mid-run is order-safe (see
+        :meth:`~repro.net.clock.EventLoop.configure_wheel`).
         """
-        if self.datagrams_sent and not self._saw_cross_region:
-            band = self._base_latency
-        else:
-            band = max(self._base_latency, self._cross_region_latency)
-        self.loop.configure_wheel_for_band(band + self.jitter)
-
-    def _auto_retune_check(self) -> None:
-        """Periodic wheel-health check, hit every ``AUTO_RETUNE_CHECK_INTERVAL`` sends.
-
-        Trigger points are datagram-count boundaries, so they land at
-        identical simulation moments on every run of a seed — retuning
-        is order-safe (:meth:`~repro.net.clock.EventLoop.configure_wheel`
-        preserves dispatch order), and deterministic triggers keep even
-        the wheel *counters* replayable. The first boundary retunes
-        unconditionally (end of warm-up); later boundaries only when
-        the per-window overflow share crosses
-        :data:`AUTO_RETUNE_OVERFLOW_SHARE`. A deliberately disabled
-        wheel (``configure_wheel(None, 0)``) is left alone.
-        """
-        loop = self.loop
-        if not loop._wheel_slots:
-            return
-        scheduled, overflow = loop.wheel_scheduled, loop.wheel_overflow
-        window_scheduled = scheduled - self._retune_mark[0]
-        window_overflow = overflow - self._retune_mark[1]
-        self._retune_mark = (scheduled, overflow)
-        if not self._retune_warmed:
-            self._retune_warmed = True
-            self._tune_wheel()
-            return
-        total = window_scheduled + window_overflow
-        if total and window_overflow / total >= AUTO_RETUNE_OVERFLOW_SHARE:
-            self._tune_wheel()
+        band = max(self._base_latency, self._cross_region_latency) + self.jitter
+        self.loop.configure_wheel_for_band(band)
 
     # -- topology --------------------------------------------------------
 
@@ -493,8 +435,6 @@ class Network:
         NATed sockets and direct callers pass ``None``.
         """
         self.datagrams_sent += 1
-        if not self.datagrams_sent & (AUTO_RETUNE_CHECK_INTERVAL - 1):
-            self._auto_retune_check()
         if wire_src is None:
             nat = src_host.nat
             if nat is not None:
@@ -571,7 +511,6 @@ class Network:
             base = self._base_latency
         else:
             base = self._cross_region_latency
-            self._saw_cross_region = True
         jitter = self.jitter
         delay = base + ((jitter + jitter) * self._rand_random() - jitter)
         if delay <= 0.001:
@@ -635,7 +574,7 @@ class Network:
 
         Installed on the loop as its datagram plane
         (:meth:`EventLoop.set_datagram_plane`): the loop's fire kernel
-        calls it whenever the next due event is a 6-field batched row,
+        calls it whenever the cursor's top row is the next due event,
         and one call frame here drains every *consecutive* due row —
         merging per item against the heap top and honouring ``deadline``
         and ``budget``, so dispatch order and ``run_until``/``run_all``/
@@ -671,7 +610,7 @@ class Network:
         try:
             while fired < budget and cursor:
                 top = cursor[-1]
-                if len(top) != 6 or top[0] > deadline:
+                if top[0] > deadline:
                     break
                 if heap and heap[0] < top:
                     top = heap[0]
@@ -881,8 +820,6 @@ class ShardNetwork(Network):
         clock is never touched here.
         """
         self.datagrams_sent += 1
-        if not self.datagrams_sent & (AUTO_RETUNE_CHECK_INTERVAL - 1):
-            self._auto_retune_check()
         src_host = self._local_index[src_idx]
         src_region = src_host.region
         dst_region = self.regions[dst_idx % len(self.regions)]
@@ -909,7 +846,6 @@ class ShardNetwork(Network):
             base = self._base_latency
         else:
             base = self._cross_region_latency
-            self._saw_cross_region = True
         jitter = self.jitter
         delay = base + ((jitter + jitter) * u_latency - jitter)
         if delay <= 0.001:

@@ -55,7 +55,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
 import traceback
 from array import array
 from bisect import bisect_left, bisect_right
@@ -521,20 +520,6 @@ class ShardRunReport:
             totals["delivered"] + totals["dropped"] + totals["in_flight"]
         )
 
-    def wheel_summary(self) -> dict:
-        """Aggregate wheel counters across shards (sum; max occupancy)."""
-        agg = {"scheduled": 0, "overflow": 0, "batched": 0,
-               "batch_drains": 0, "max_occupancy": 0}
-        for report in self.per_shard:
-            wheel = report["wheel"]
-            agg["scheduled"] += wheel["scheduled"]
-            agg["overflow"] += wheel["overflow"]
-            agg["batched"] += wheel["batched"]
-            agg["batch_drains"] += wheel["batch_drains"]
-            if wheel["occupancy"] > agg["max_occupancy"]:
-                agg["max_occupancy"] = wheel["occupancy"]
-        return agg
-
 
 def _window_cap(workload: SwarmWorkload) -> int:
     """Anti-livelock bound on barrier rounds.
@@ -832,9 +817,7 @@ def run_workload(
     would idle forever). ``inline=None`` auto-selects: multi-process
     when parallelism can pay, in-process round-robin when the run needs
     one address space — a single worker, an exact ``max_events`` budget,
-    an armed dispatch-trace hook (``verify --sanitize``), or
-    ``REPRO_SHARD_INLINE=1`` (CI determinism jobs exercise the protocol
-    without fork overhead).
+    or an armed dispatch-trace hook (``verify --sanitize``).
     """
     workers = max(1, min(workers, len(workload.regions)))
     if inline is None:
@@ -842,7 +825,6 @@ def run_workload(
             workers == 1
             or max_events is not None
             or EventLoop._trace is not None
-            or os.environ.get("REPRO_SHARD_INLINE", "") == "1"  # repro: allow[DET001] coordinator mode switch, not sim state
         )
     if not inline and max_events is not None:
         raise ConfigurationError(

@@ -14,7 +14,7 @@ from repro.net.addresses import Endpoint
 from repro.net.clock import DEFAULT_WHEEL_SLOTS, EventLoop, TimerHandle
 from repro.net.faults import FaultPlan, RandomFaultPlanner
 from repro.net.nat import NatType
-from repro.net.network import Host, Network
+from repro.net.network import Host, Network, UdpSocket
 from repro.util.rand import DeterministicRandom
 
 #: The base seed for this whole test session. CI runs the suite at
@@ -140,6 +140,19 @@ def schedule_burst(network: Network, at: float, count: int = BURST_DATAGRAMS) ->
     network.loop.schedule_at(at, burst)
 
 
+def push_delivery(network: Network, sock: UdpSocket, when: float, payload: bytes = b"") -> None:
+    """Queue one delivery to ``sock`` at exactly ``when``, as a send would.
+
+    It goes through the loop's datagram enqueue, so it lands on the
+    wheel or the heap by the same rules as a sent datagram, and it
+    counts in ``datagrams_sent`` and ``datagrams_in_flight`` so
+    conservation holds once it is delivered.
+    """
+    network.datagrams_sent += 1
+    network.datagrams_in_flight += 1
+    network.loop._push_datagram(when, sock.host, sock.port, payload, sock.endpoint)
+
+
 def _idle() -> None:
     """The callback of a pad timer."""
 
@@ -147,11 +160,11 @@ def _idle() -> None:
 def pad_past_depth_gate(loop: EventLoop) -> list[TimerHandle]:
     """Park idle timers at :data:`PAD_AT` until the loop is at its depth gate.
 
-    The wheel only takes entries from a loop holding ``2 * slots`` live
-    entries, so a test of wheel mechanics pads its loop first: the next
-    entry it schedules goes on the wheel. The pads themselves go to the
-    heap uncounted, like every entry of a shallow loop. Cancel them
-    before draining the loop, or let them fire as no-ops.
+    The wheel only takes deliveries from a loop holding ``2 * slots``
+    live entries, so a test of wheel mechanics pads its loop first: the
+    next delivery it queues goes on the wheel. The pads themselves are
+    timers, so they go to the heap. Cancel them before draining the
+    loop, or let them fire as no-ops.
     """
     return [loop.schedule_at(PAD_AT, _idle)
             for _ in range(2 * loop._wheel_slots - loop.pending)]

@@ -8,14 +8,16 @@ fault plan. The property tests here run whole chaos scenarios twice
 network counter; the experiment-level test proves the pinned result
 digests are reproduced with the wheel disabled outright.
 
-The wheel only takes entries from a loop deep enough to fill it (the
-depth gate: ``2 * slots`` live entries). Each scenario therefore adds a
-burst that carries the loop past the gate and drains back below it, so
-one run crosses the gate both ways. The boundary tests pin the wheel
-mechanics the property can miss — bucket rollover across many laps,
-far-future overflow to the heap, cancellation of wheel-resident
-handles, the idle-wheel origin resync, and mid-run geometry changes —
-each on a loop padded past the gate, plus the gate itself.
+The wheel holds datagram deliveries only, and only from a loop deep
+enough to fill it (the depth gate: ``2 * slots`` live entries). Each
+scenario therefore adds a burst that carries the loop past the gate and
+drains back below it, so one run crosses the gate both ways. The
+boundary tests pin the wheel mechanics the property can miss — bucket
+rollover across many laps, FIFO order at a bucket edge, far-future
+overflow to the heap, the idle-wheel origin resync, a deadline inside a
+bucket and mid-run geometry changes — with deliveries queued at exact
+instants on a loop padded past the gate, plus the gate itself and the
+rule that timers never go on the wheel.
 """
 
 import pytest
@@ -23,10 +25,9 @@ import pytest
 import repro.experiments  # noqa: F401  - triggers @experiment registration
 from repro.harness import registry
 from repro.harness.runner import execute_spec
-from repro.net import clock
 from repro.net.clock import EventLoop
 from repro.net.faults import FaultInjector
-from repro.net.network import Network
+from repro.net.network import Network, UdpSocket
 from repro.util.rand import DeterministicRandom
 
 from tests.chaos.gen import (
@@ -37,6 +38,7 @@ from tests.chaos.gen import (
     chaos_seeds,
     pad_past_depth_gate,
     pump_random_traffic,
+    push_delivery,
     random_plan,
     random_topology,
     schedule_burst,
@@ -85,9 +87,9 @@ def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict
     if wheel:
         # The burst's deep stretch used the wheel; the shallow rest of
         # the run, the burst's first 2 * slots datagrams included, did not.
-        assert 0 < net.loop.wheel_scheduled < BURST_DATAGRAMS
+        assert 0 < net.loop.wheel_batched < BURST_DATAGRAMS
     else:
-        assert net.loop.wheel_scheduled == 0  # control run truly heap-only
+        assert net.loop.wheel_batched == 0  # control run truly heap-only
     counters = {
         "sent": net.datagrams_sent,
         "delivered": net.datagrams_delivered,
@@ -116,140 +118,129 @@ class TestWheelHeapEquivalence:
         params = registry.get(name).resolve_params(quick=True)
         with_wheel = execute_spec(name, 2024, params)
         assert with_wheel.record.ok, with_wheel.record.error
-        monkeypatch.setattr(clock, "DEFAULT_WHEEL_SLOTS", 0)
-        monkeypatch.setattr(Network, "_tune_wheel", lambda self: None)
+        # Every Network sizes its wheel through _tune_wheel: switch all
+        # of them off, so every delivery the experiment makes is a heap entry.
+        monkeypatch.setattr(
+            Network, "_tune_wheel", lambda self: self.loop.configure_wheel(None, 0)
+        )
         without_wheel = execute_spec(name, 2024, params)
         assert without_wheel.record.ok, without_wheel.record.error
         assert with_wheel.record.result_digest == without_wheel.record.result_digest
 
 
+def wheel_net() -> tuple[Network, UdpSocket, list]:
+    """A network on an 8-slot, 10 ms wheel (80 ms horizon), padded past the
+    depth gate, with one handlerless socket to queue deliveries to."""
+    net = Network(rand=DeterministicRandom("wheel-unit"), jitter=0.0)
+    net.loop.configure_wheel(0.01, 8)
+    sock = net.add_host("b").bind_udp(TRAFFIC_PORT)
+    return net, sock, pad_past_depth_gate(net.loop)
+
+
+def inbox(sock: UdpSocket) -> list[bytes]:
+    return [payload for payload, _ in sock.inbox]
+
+
 class TestBucketBoundaries:
     def test_rollover_across_many_laps(self):
-        """A self-rescheduling chain walks 25 laps of an 8-slot wheel."""
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
+        """A self-requeueing delivery chain walks 25 laps of an 8-slot wheel."""
+        net, sock, pads = wheel_net()
+        loop = net.loop
         fired = []
 
-        def chain(i):
+        def chain(payload, src, s):
+            i = payload[0]
             fired.append((i, loop.now))
             if i < 40:
-                loop.schedule_at(loop.now + 0.05, chain, i + 1)
+                push_delivery(net, sock, loop.now + 0.05, bytes([i + 1]))
 
-        loop.schedule_at(0.05, chain, 1)
+        sock.handler = chain
+        push_delivery(net, sock, 0.05, bytes([1]))
         loop.run_until(10.0)
         assert [i for i, _ in fired] == list(range(1, 41))
         for i, when in fired:
             assert when == pytest.approx(0.05 * i)
-        assert loop.wheel_scheduled == 40
+        assert loop.wheel_batched == 40
         assert loop.wheel_overflow == 0
         cancel_all(pads)
         assert loop.pending == 0
+        assert_conserved(net)
 
     def test_exact_bucket_edge_keeps_seq_order(self):
-        """Entries landing exactly on a bucket edge stay FIFO by seq."""
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
-        order = []
-        loop.schedule_at(0.02, order.append, "a")
-        loop.schedule_at(0.02, order.append, "b")
-        loop.schedule_at(0.01, order.append, "c")
-        assert loop.wheel_scheduled == 3
+        """Deliveries landing exactly on a bucket edge stay FIFO by seq."""
+        net, sock, pads = wheel_net()
+        push_delivery(net, sock, 0.02, b"a")
+        push_delivery(net, sock, 0.02, b"b")
+        push_delivery(net, sock, 0.01, b"c")
+        assert net.loop.wheel_batched == 3
         cancel_all(pads)
-        loop.run_all()
-        assert order == ["c", "a", "b"]
+        net.loop.run_all()
+        assert inbox(sock) == [b"c", b"a", b"b"]
 
     def test_far_future_overflows_to_heap(self):
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)  # 80 ms horizon
-        pads = pad_past_depth_gate(loop)
-        order = []
-        loop.schedule_at(1.0, order.append, "far")
-        loop.schedule_at(0.03, order.append, "near")
+        net, sock, pads = wheel_net()
+        loop = net.loop
+        push_delivery(net, sock, 1.0, b"far")
+        push_delivery(net, sock, 0.03, b"near")
         assert loop.wheel_overflow == 1
-        assert loop.wheel_scheduled == 1
+        assert loop.wheel_batched == 1
         assert loop.pending == 2 + len(pads)
         cancel_all(pads)
         loop.run_all()
-        assert order == ["near", "far"]
+        assert inbox(sock) == [b"near", b"far"]
         assert loop.pending == 0
         assert loop.now == 1.0
-
-    def test_cancel_wheel_resident_timer(self):
-        loop = EventLoop()  # default geometry: 10/20 ms are in-band
-        pads = pad_past_depth_gate(loop)
-        fired = []
-        victim = loop.schedule(0.01, fired.append, "victim")
-        loop.schedule(0.02, fired.append, "keeper")
-        assert loop.wheel_occupancy == 2
-        victim.cancel()
-        assert loop.pending == 1 + len(pads)
-        cancel_all(pads)
-        loop.run_all()
-        assert fired == ["keeper"]
-        assert loop.pending == 0
-
-    def test_cancel_wheel_sibling_from_callback_in_same_bucket(self):
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
-        fired = []
-        victim = loop.schedule_at(0.0152, fired.append, "victim")
-        loop.schedule_at(0.0151, victim.cancel)  # same bucket, earlier seq... and when
-        loop.schedule_at(0.0153, fired.append, "survivor")
-        assert loop.wheel_occupancy == 3
-        cancel_all(pads)
-        loop.run_all()
-        assert fired == ["survivor"]
-        assert loop.pending == 0
 
     def test_idle_wheel_resyncs_origin_to_now(self):
         """Heap-only progress far past the horizon drags the origin along."""
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
-        loop.schedule(1.0, lambda: None)  # way out of band: heap
+        net, sock, pads = wheel_net()
+        loop = net.loop
+        push_delivery(net, sock, 1.0, b"early")  # way out of band: heap
         assert loop.wheel_overflow == 1
         loop.run_until(1.0)
         assert loop.now == 1.0
-        fired = []
-        loop.schedule(0.03, fired.append, "late")  # in-band again, relative to now
-        assert loop.wheel_scheduled == 1  # resync re-opened the wheel window
+        push_delivery(net, sock, 1.03, b"late")  # in-band again, relative to now
+        assert loop.wheel_batched == 1  # resync re-opened the wheel window
+        assert loop.wheel_overflow == 1
         cancel_all(pads)
         loop.run_all()
-        assert fired == ["late"]
+        assert inbox(sock) == [b"early", b"late"]
         assert loop.now == pytest.approx(1.03)
 
     def test_run_until_leaves_later_bucket_entries_queued(self):
         """A deadline mid-bucket fires only the due half of the bucket."""
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
-        fired = []
-        loop.schedule_at(0.011, fired.append, "early")
-        loop.schedule_at(0.019, fired.append, "late")  # same bucket
-        assert loop.wheel_scheduled == 2
+        net, sock, pads = wheel_net()
+        loop = net.loop
+        push_delivery(net, sock, 0.011, b"early")
+        push_delivery(net, sock, 0.019, b"late")  # same bucket
+        assert loop.wheel_batched == 2
         loop.run_until(0.015)
-        assert fired == ["early"]
+        assert inbox(sock) == [b"early"]
         assert loop.pending == 1 + len(pads)
         loop.run_until(0.02)
-        assert fired == ["early", "late"]
+        assert inbox(sock) == [b"early", b"late"]
 
     def test_configure_wheel_mid_run_preserves_order(self):
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        pads = pad_past_depth_gate(loop)
+        net, sock, pads = wheel_net()
+        loop = net.loop
         fired = []
+        sock.handler = lambda payload, src, s: fired.append(loop.now)
         for when in (0.011, 0.034, 0.052):
-            loop.schedule_at(when, fired.append, when)
+            push_delivery(net, sock, when)
         loop.configure_wheel(0.002, 16)  # flushes residents to the heap
         pads += pad_past_depth_gate(loop)  # the gate grew with the wheel
         for when in (0.005, 0.04):
-            loop.schedule_at(when, fired.append, when)
+            push_delivery(net, sock, when)
         assert loop.wheel_occupancy == 1  # 0.04 lies past the 32 ms horizon
         cancel_all(pads)
         loop.run_all()
-        assert fired == sorted(fired)
-        assert len(fired) == 5
+        assert fired == [0.005, 0.011, 0.034, 0.04, 0.052]
         assert loop.pending == 0
+        assert_conserved(net)
 
 
 class TestDepthGate:
-    """The wheel takes entries only from a loop holding ``2 * slots``."""
+    """The wheel takes deliveries only from a loop holding ``2 * slots``."""
 
     def test_shallow_loop_puts_nothing_on_the_wheel(self):
         net = Network(rand=DeterministicRandom("shallow"), jitter=0.0)
@@ -268,7 +259,6 @@ class TestDepthGate:
         assert loop.wheel_stats() == {
             "slots": loop._wheel_slots,
             "bucket_width": loop._wheel_width,
-            "scheduled": 0,
             "overflow": 0,
             "occupancy": 0,
             "batched": 0,
@@ -277,14 +267,35 @@ class TestDepthGate:
         assert net.datagrams_delivered == loop._wheel_slots - 1
 
     def test_gate_opens_past_two_slots_and_closes_below(self):
-        loop = EventLoop(wheel_width=0.01, wheel_slots=8)
-        handles = [loop.schedule_at(0.05, lambda: None) for _ in range(16)]
-        assert loop.wheel_scheduled == 0 and loop.wheel_overflow == 0
-        loop.schedule_at(0.05, lambda: None)  # the 17th live entry
-        assert loop.wheel_scheduled == 1
+        net = Network(rand=DeterministicRandom("gate"), jitter=0.0)
+        loop = net.loop
+        loop.configure_wheel(0.01, 8)
+        sock = net.add_host("b").bind_udp(TRAFFIC_PORT)
+        handles = [loop.schedule_at(0.05, lambda: None) for _ in range(15)]
+        push_delivery(net, sock, 0.05, b"at-gate")  # the 16th live entry
+        assert loop.wheel_batched == 0 and loop.wheel_overflow == 0
+        push_delivery(net, sock, 0.05, b"past-gate")  # the 17th
+        assert loop.wheel_batched == 1
         cancel_all(handles)  # back below the gate
-        loop.schedule_at(0.05, lambda: None)
-        assert loop.wheel_scheduled == 1
+        push_delivery(net, sock, 0.05, b"below-gate")
+        assert loop.wheel_batched == 1
         assert loop.wheel_overflow == 0
         loop.run_all()
-        assert loop.events_fired == 2
+        assert inbox(sock) == [b"at-gate", b"past-gate", b"below-gate"]
+        assert loop.events_fired == 3
+
+    def test_timers_never_go_on_the_wheel(self):
+        """Past the gate, an in-band timer still goes on the heap."""
+        loop = EventLoop()
+        pads = pad_past_depth_gate(loop)
+        fired = []
+        victim = loop.schedule(0.01, fired.append, "victim")
+        loop.schedule(0.02, fired.append, "keeper")
+        assert loop.wheel_occupancy == 0
+        assert loop.wheel_overflow == 0
+        victim.cancel()
+        assert loop.pending == 1 + len(pads)
+        cancel_all(pads)
+        loop.run_all()
+        assert fired == ["keeper"]
+        assert loop.pending == 0

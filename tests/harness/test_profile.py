@@ -9,8 +9,6 @@ from repro.harness.profile import (
 )
 from repro.net.clock import EventLoop
 
-from tests.chaos.gen import pad_past_depth_gate
-
 
 def _tick() -> None:
     """A no-op callback with a stable module/qualname for site tests."""
@@ -60,7 +58,6 @@ class TestEventCounter:
 class TestSiteProfiler:
     def run_profiled(self) -> SiteProfiler:
         loop = EventLoop()
-        pad_past_depth_gate(loop)  # idle until long after the run ends
         loop.schedule_at(0.0, _tick)
         loop.call_every(1.0, _tick)  # fires at 1, 2, 3; next pending at 4
         with capture_events(SiteProfiler()) as profiler:
@@ -83,12 +80,9 @@ class TestSiteProfiler:
         assert data == {
             "total_events": 4,
             "sites": {f"{__name__}._tick": 4},
-            # schedule_at(0.0) is in-band on a loop padded past the
-            # depth gate; the call_every chain is a heap-class timer
-            # that bypasses both wheel counters. No datagram plane here,
-            # so the batching gauges stay zero.
+            # Timers never touch the wheel, and there is no datagram
+            # plane here, so every wheel counter stays zero.
             "wheel": {
-                "scheduled": 1,
                 "overflow": 0,
                 "batched": 0,
                 "batch_drains": 0,
@@ -100,13 +94,11 @@ class TestSiteProfiler:
         from repro.harness.profile import render_wheel_summary
 
         quiet = render_wheel_summary(
-            {"scheduled": 1, "overflow": 0, "batched": 0, "batch_drains": 0,
-             "max_occupancy": 0}
+            {"overflow": 0, "batched": 0, "batch_drains": 0, "max_occupancy": 0}
         )
         assert "batched delivery" not in quiet
         busy = render_wheel_summary(
-            {"scheduled": 10, "overflow": 0, "batched": 9, "batch_drains": 3,
-             "max_occupancy": 4}
+            {"overflow": 0, "batched": 9, "batch_drains": 3, "max_occupancy": 4}
         )
         assert "9 datagrams over 3 drains (3.0/drain)" in busy
 

@@ -63,7 +63,7 @@ class TestExecuteSpec:
         # Forked shard workers fire their events where the parent's
         # sinks cannot see them; the coordinator must fold their counts
         # into the run record.
-        for name in ("REPRO_SHARD_INLINE", "REPRO_SHARD_WORKERS", "REPRO_DETSAN"):
+        for name in ("REPRO_SHARD_WORKERS", "REPRO_DETSAN"):
             monkeypatch.delenv(name, raising=False)
         params = dict(quick_params("swarm-scale"), shard_workers=2)
         record = execute_spec("swarm-scale", seed=2024, params=params).record

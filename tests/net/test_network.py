@@ -424,3 +424,44 @@ class TestDeliveryRule:
         assert [payload for payload, _ in polled.inbox] == [b"queued"]
         assert seen == [b"handled"]
         assert polled.bytes_received == len(b"queued") + len(b"handled")
+
+
+class TestWheelSizing:
+    """The timing wheel's geometry follows the latency knobs alone."""
+
+    def knob_width(self, net: Network) -> float:
+        band = max(net.base_latency, net.cross_region_latency) + net.jitter
+        return 2.0 * band / net.loop._wheel_slots
+
+    def test_same_region_traffic_keeps_the_knob_band(self):
+        # Same-region datagrams alone never narrow the wheel: the band
+        # covers the cross-region knob however the traffic looks.
+        net = make_network()
+        a = net.add_host("a", region="us")
+        sock = net.add_host("b", region="us").bind_udp(9000)
+        for _ in range(8192):
+            net.send_datagram(a, 40000, sock.endpoint, b"x")
+        assert net.loop._wheel_width == self.knob_width(net)
+
+    def test_knob_assignment_resizes_the_band(self):
+        # After same-region traffic too, a knob assignment sizes the
+        # band from the knobs, the cross-region one included.
+        net = make_network()
+        a = net.add_host("a", region="us")
+        sock = net.add_host("b", region="us").bind_udp(9000)
+        net.send_datagram(a, 40000, sock.endpoint, b"x")
+        net.base_latency = 0.03
+        assert net.loop._wheel_width == pytest.approx(self.knob_width(net))
+        net.cross_region_latency = 0.3
+        assert net.loop._wheel_width == pytest.approx(self.knob_width(net))
+
+    def test_unchanged_geometry_short_circuits(self):
+        # configure_wheel_for_band with the same derived band must not
+        # rebuild the wheel and flush its columns for nothing.
+        net = make_network()
+        loop = net.loop
+        geometry = (loop._wheel_width, loop._wheel_slots)
+        columns = loop._bwhen  # a rebuild allocates fresh columns
+        net._tune_wheel()
+        assert (loop._wheel_width, loop._wheel_slots) == geometry
+        assert loop._bwhen is columns
