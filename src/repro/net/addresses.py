@@ -54,7 +54,7 @@ def int_to_ip(value: int) -> str:
     """Format a 32-bit int as dotted-quad IPv4."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ConfigurationError(f"ip int out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 #: ``(base, mask, class)`` per bogon block, in the order

@@ -58,14 +58,11 @@ from repro.util.errors import ConfigurationError
 
 _INFINITY = float("inf")
 
-#: Default timing-wheel geometry: 512 buckets of 0.5 ms cover a 256 ms
-#: horizon — wide enough for the default latency model's delay band
-#: (20 ms same-region / 120 ms cross-region base plus jitter) with slack
-#: for the wheel origin trailing ``now``. :class:`~repro.net.network.
-#: Network` sizes its loop from its latency knobs via
+#: Timing-wheel bucket count. A new loop starts with the wheel disabled
+#: (a loop without a network never sees a datagram); :class:`~repro.net.
+#: network.Network` sizes its loop's wheel from its latency knobs via
 #: :meth:`EventLoop.configure_wheel_for_band`.
 DEFAULT_WHEEL_SLOTS = 512
-DEFAULT_WHEEL_WIDTH = 0.0005
 
 #: Floor for a derived bucket width — a degenerate band (all-zero
 #: latencies) must not produce zero-width buckets.
@@ -201,7 +198,7 @@ class EventLoop:
         #: Not-yet-cancelled entries queued (heap + wheel + cursor) — the
         #: O(1) source of :attr:`pending`, maintained by push/cancel/pop.
         self._live = 0
-        # -- timing wheel state (geometry set by configure_wheel) ------
+        # -- timing wheel state: disabled until configure_wheel --------
         self._cursor: list = []  # collected bucket, sorted descending
         self._wheel_tick = 0  # next bucket index not yet collected
         self._wheel_count = 0  # rows resident in columns (not cursor)
@@ -223,7 +220,6 @@ class EventLoop:
         self.wheel_overflow = 0
         self.wheel_batched = 0
         self.wheel_batch_drains = 0
-        self.configure_wheel(DEFAULT_WHEEL_WIDTH, DEFAULT_WHEEL_SLOTS)
 
     # -- instrumentation -------------------------------------------------
 

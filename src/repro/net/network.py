@@ -52,7 +52,8 @@ class UdpSocket:
     counts in :attr:`bytes_received` either way. The inbox is bounded
     at ``inbox_limit`` entries — once full, the oldest half is evicted
     in one batch (amortised O(1), and a plain list stays ~10x smaller
-    per idle socket than a deque ring). ``None`` disables the cap.
+    per idle socket than a deque ring). ``None`` disables the cap, and
+    ``0`` counts the bytes and queues nothing.
     """
 
     __slots__ = ("host", "port", "handler", "inbox", "closed",
@@ -119,22 +120,24 @@ class UdpSocket:
         """Count the bytes; queue them in the inbox ring only without a handler.
 
         Returns the handler the caller must call, or ``None`` once the
-        datagram is queued. This is the one place that chooses between
-        handler and inbox: :meth:`deliver`, ``Network._deliver`` and the
-        batched drain all call it, so neither that rule nor the ring
-        semantics — evict the oldest half in one batch ``del`` once past
-        the cap — can drift between call sites. Calling the handler
+        datagram is queued (or, under a zero limit, only counted). This
+        is the one place that chooses between handler and inbox:
+        :meth:`deliver`, ``Network._deliver`` and the batched drain all
+        call it, so neither that rule nor the ring semantics — evict
+        the oldest half in one batch ``del`` once past the cap — can
+        drift between call sites. Calling the handler
         stays with the callers: the batched drain must flush its
         accounting before re-entrant handler code runs.
         """
         self.bytes_received += len(payload)
         handler = self.handler
         if handler is None:
-            inbox = self.inbox
-            inbox.append((payload, src))
             limit = self.inbox_limit
-            if limit is not None and len(inbox) > limit:
-                del inbox[: len(inbox) - limit // 2]
+            if limit != 0:
+                inbox = self.inbox
+                inbox.append((payload, src))
+                if limit is not None and len(inbox) > limit:
+                    del inbox[: len(inbox) - limit // 2]
         return handler
 
     def close(self) -> None:

@@ -51,6 +51,7 @@ the run needs a single address space — one worker, an exact
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -59,6 +60,7 @@ import traceback
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from sys import maxsize as _MAX_EVENTS
 
 from repro.net.clock import EventLoop
@@ -233,9 +235,15 @@ def _region_program(workload: SwarmWorkload, region_index: int) -> _TrafficProgr
     dst_col = program.dst
     u_lat = program.u_latency
     u_fault = program.u_fault
-    uniform = rand.uniform
     draw = rand.random
-    randint = rand.randint
+    getrandbits = rand.getrandbits
+    # The draws of uniform(0.0, w) and randint(0, n - 1), inlined so a
+    # send costs no Python frame: uniform(0.0, w) is w * random() bit
+    # for bit, and randint's Random._randbelow(n) draws
+    # getrandbits(n.bit_length()) until the value is below n.
+    # tests/shard/test_traffic_program.py pins both against the library.
+    member_bits = members.bit_length()
+    viewer_bits = viewers.bit_length()
     locality = workload.locality
     sent = 0
     for j in range(members):
@@ -243,7 +251,7 @@ def _region_program(workload: SwarmWorkload, region_index: int) -> _TrafficProgr
         count = base_share + (1 if src < remainder else 0)
         for _ in range(count):
             if flash_times is None:
-                t = uniform(0.0, window)
+                t = window * draw()
             else:
                 # Flash-crowd times are rounded to 1 ms by the arrival
                 # process, which can collide exactly with 3-decimal
@@ -252,11 +260,15 @@ def _region_program(workload: SwarmWorkload, region_index: int) -> _TrafficProgr
                 # perturbation keeps the crowd shape and restores
                 # measure-zero tie probability.
                 t = flash_times[sent % len(flash_times)] + draw() * 1e-6
-            u_loc = draw()
-            if u_loc < locality:
-                dst = region_index + randint(0, members - 1) * num_regions
+            if draw() < locality:
+                r = getrandbits(member_bits)
+                while r >= members:
+                    r = getrandbits(member_bits)
+                dst = region_index + r * num_regions
             else:
-                dst = randint(0, viewers - 1)
+                dst = getrandbits(viewer_bits)
+                while dst >= viewers:
+                    dst = getrandbits(viewer_bits)
             when.append(t)
             src_col.append(src)
             dst_col.append(dst)
@@ -284,16 +296,17 @@ def _shard_program(workload: SwarmWorkload, shard_id: int, num_shards: int) -> _
         merged.dst.extend(part.dst)
         merged.u_latency.extend(part.u_latency)
         merged.u_fault.extend(part.u_fault)
-    if not merged.when:
+    if len(merged) < 2:
         return merged
-    order = sorted(range(len(merged.when)), key=merged.when.__getitem__)
+    # Gather each column through the stable permutation in one C-level
+    # call (itemgetter returns a tuple for two or more indices).
+    gather = itemgetter(*sorted(range(len(merged)), key=merged.when.__getitem__))
     out = _TrafficProgram()
-    for i in order:
-        out.when.append(merged.when[i])
-        out.src.append(merged.src[i])
-        out.dst.append(merged.dst[i])
-        out.u_latency.append(merged.u_latency[i])
-        out.u_fault.append(merged.u_fault[i])
+    out.when = array("d", gather(merged.when))
+    out.src = array("q", gather(merged.src))
+    out.dst = array("q", gather(merged.dst))
+    out.u_latency = array("d", gather(merged.u_latency))
+    out.u_fault = array("d", gather(merged.u_fault))
     return out
 
 
@@ -362,12 +375,25 @@ class ShardWorker:
         )
         self.loop = self.net.loop
         num_regions = len(workload.regions)
-        for idx in range(workload.viewers):
-            if (idx % num_regions) % num_shards == shard_id:
-                host = self.net.add_indexed_host(idx)
-                # The swarm counts bytes_received; a shallow inbox ring
-                # keeps million-viewer RSS bounded.
-                host.bind_udp(workload.port, inbox_limit=8)
+        # The directory is about eight GC-tracked objects per host and
+        # no garbage, so a running collector would only re-walk it as
+        # the old generation grows. It is paused for the build, and one
+        # full pass then promotes the directory to the oldest
+        # generation, where the young passes never walk it again
+        # (docs/SHARDING.md, "Building a shard").
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for idx in range(workload.viewers):
+                if (idx % num_regions) % num_shards == shard_id:
+                    host = self.net.add_indexed_host(idx)
+                    # stats() reads bytes_received only, so the sockets
+                    # count each delivery and queue none.
+                    host.bind_udp(workload.port, inbox_limit=0)
+        finally:
+            if collecting:
+                gc.enable()
+                gc.collect()
         self.faults: ShardFaultInjector | None = None
         plan = build_fault_plan(workload)
         if len(plan):

@@ -30,6 +30,7 @@ class DeterministicRandom:
     random: Callable[[], float]
     uniform: Callable[[float, float], float]
     randint: Callable[[int, int], int]
+    getrandbits: Callable[[int], int]
     gauss: Callable[[float, float], float]
     expovariate: Callable[[float], float]
     choice: Callable[..., Any]
@@ -46,6 +47,7 @@ class DeterministicRandom:
         self.random = rng.random
         self.uniform = rng.uniform
         self.randint = rng.randint
+        self.getrandbits = rng.getrandbits
         self.gauss = rng.gauss
         self.expovariate = rng.expovariate
         self.choice = rng.choice

@@ -1,19 +1,18 @@
 """Batched delivery equivalence: the columnar drain is order-invisible.
 
 The batched datagram plane (the loop's per-slot column rings, drained
-by ``Network._drain_cursor``) is, like the timing wheel before it, a
-pure performance structure: one drain frame fires a whole run of due
-datagrams, but the selection still merges per item against the heap by
-``(when, seq)``. These property tests mirror
-``tests/chaos/test_timing_wheel.py`` — whole chaos scenarios run two
-ways (batched, and the pure-heap oracle with the wheel disabled) and
-must produce bit-equal dispatch traces and counters — plus seed-2024
-digest-pin equality at the experiment level and boundary tests for the
-drain mechanics (step/run_until/run_all semantics, mid-run reconfigure
-flush, inbox eviction parity, counter exposure). Datagrams reach the
-columns only while the loop is past the wheel's depth gate, so each
-scenario adds a burst that crosses the gate both ways, and each drain
-test pads its loop past the gate first.
+by ``Network._drain_cursor``) is, like the timing wheel whose slots it
+fills, a pure performance structure: one drain frame fires a whole run
+of due datagrams, but the selection still merges per item against the
+heap by ``(when, seq)``. Disabling the wheel removes the plane, so the
+pure-heap oracle is the one ``tests/chaos/test_timing_wheel.py``
+defines; these property tests run it over their own chaos scenario
+stream (each with the burst that crosses the depth gate both ways) and
+over an experiment run that reaches the columns, plus boundary tests
+for the drain mechanics (step/run_until/run_all semantics, mid-run
+reconfigure flush, inbox eviction parity, counter exposure).
+Datagrams reach the columns only while the loop is past the wheel's
+depth gate, so each drain test pads its loop past the gate first.
 """
 
 import pytest
@@ -22,8 +21,6 @@ import repro.experiments  # noqa: F401  - triggers @experiment registration
 from repro.harness import registry
 from repro.harness.runner import execute_spec
 from repro.net.addresses import Endpoint
-from repro.net.clock import EventLoop
-from repro.net.faults import FaultInjector
 from repro.net.network import Network
 from repro.util.rand import DeterministicRandom
 
@@ -33,52 +30,8 @@ from tests.chaos.gen import (
     cancel_all,
     chaos_seeds,
     pad_past_depth_gate,
-    pump_random_traffic,
-    random_plan,
-    random_topology,
-    schedule_burst,
 )
-from tests.chaos.test_timing_wheel import OrderTrace
-
-
-def run_scenario(seed: int, mode: str, faults: bool) -> tuple[list, dict]:
-    """One full seeded chaos run; returns (dispatch trace, counters).
-
-    ``mode`` picks the delivery machinery: ``batched`` (the default
-    columnar plane) or ``heap`` (wheel disabled outright — the
-    pure-heap control, where every delivery is a classic entry).
-    """
-    net = Network(rand=DeterministicRandom(seed))
-    if mode == "heap":
-        net.loop.configure_wheel(None, 0)
-    else:
-        assert mode == "batched"
-    rand = DeterministicRandom(f"batched-eq:{seed}")
-    hosts = random_topology(rand.fork("topo"), net)
-    if faults:
-        FaultInjector(net).arm(random_plan(rand.fork("faults"), hosts, horizon=30.0))
-    pump_random_traffic(rand.fork("traffic"), net, hosts, count=300, horizon=25.0)
-    schedule_burst(net, at=12.5)
-    trace = OrderTrace()
-    EventLoop.add_sink(trace)
-    try:
-        net.loop.run_until(40.0)
-    finally:
-        EventLoop.remove_sink(trace)
-    assert_conserved(net)
-    if mode == "batched":
-        assert net.loop.wheel_batched > 0  # the columns actually carried traffic
-    else:
-        assert net.loop.wheel_batched == 0  # control run truly heap-only
-        assert net.loop.wheel_batch_drains == 0
-    counters = {
-        "sent": net.datagrams_sent,
-        "delivered": net.datagrams_delivered,
-        "dropped": net.datagrams_dropped,
-        "by_reason": dict(net.drops_by_reason),
-        "events": net.loop.events_fired,
-    }
-    return trace.events, counters
+from tests.chaos.test_timing_wheel import assert_heap_equivalent, run_heap_only
 
 
 class TestBatchedEquivalence:
@@ -87,31 +40,30 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("seed", chaos_seeds(3, "batched-delivery"))
     @pytest.mark.parametrize("faults", [False, True], ids=["calm", "chaos-mix"])
     def test_dispatch_trace_is_bit_identical(self, seed, faults):
-        batched_trace, batched_counts = run_scenario(seed, "batched", faults)
-        heap_trace, heap_counts = run_scenario(seed, "heap", faults)
-        assert batched_trace == heap_trace
-        assert batched_counts == heap_counts
-        assert len(batched_trace) == batched_counts["events"]
+        assert_heap_equivalent("batched-eq", seed, faults)
 
-    @pytest.mark.parametrize("name", ["bandwidth", "chaos"])
-    def test_experiment_digest_survives_batching_removal(self, name, monkeypatch):
-        """The pinned seed-2024 digests do not depend on the batched plane."""
-        params = registry.get(name).resolve_params(quick=True)
-        batched = execute_spec(name, 2024, params)
-        assert batched.record.ok, batched.record.error
-        # Every Network tunes its loop's wheel at construction and on
-        # each latency-knob change: route all of those to a disabled
-        # wheel, so every delivery the experiment makes is a heap entry.
+    @pytest.mark.parametrize("arrivals", ["uniform", "flash-crowd"])
+    def test_experiment_digest_survives_batching_removal(self, arrivals, monkeypatch):
+        """An experiment's result digest does not depend on the batched plane.
+
+        No quick-size experiment fills a loop past the depth gate, so
+        this runs ``swarm-scale`` with its 4,000 datagrams sent inside
+        half a simulated second, which does.
+        """
+        params = registry.get("swarm-scale").resolve_params(quick=True)
+        params.update(datagrams=4_000, horizon=0.5, arrivals=arrivals)
         loops = []
+        tune = Network._tune_wheel
 
-        def heap_only(self):
-            self.loop.configure_wheel(None, 0)
+        def spy(self):
+            tune(self)
             loops.append(self.loop)
 
-        monkeypatch.setattr(Network, "_tune_wheel", heap_only)
-        heap = execute_spec(name, 2024, params)
-        assert heap.record.ok, heap.record.error
-        assert loops and all(loop.wheel_batched == 0 for loop in loops)
+        monkeypatch.setattr(Network, "_tune_wheel", spy)
+        batched = execute_spec("swarm-scale", 2024, params)
+        assert batched.record.ok, batched.record.error
+        assert any(loop.wheel_batched for loop in loops)  # the columns carried traffic
+        heap = run_heap_only("swarm-scale", params, monkeypatch)
         assert batched.record.result_digest == heap.record.result_digest
 
 

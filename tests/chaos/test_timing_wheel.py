@@ -6,7 +6,12 @@ same event sequence as a pure-heap loop, seed for seed, fault plan for
 fault plan. The property tests here run whole chaos scenarios twice
 (wheel on / wheel off) and compare the full dispatch trace and every
 network counter; the experiment-level test proves the pinned result
-digests are reproduced with the wheel disabled outright.
+digests are reproduced with the wheel disabled outright. The wheel's
+slots are the batched plane's column rings, so the same switch is the
+oracle for ``Network._drain_cursor``'s batched delivery too:
+``tests/chaos/test_batched_delivery.py`` runs this module's oracle
+(``assert_heap_equivalent``, ``run_heap_only``) over its own scenario
+stream and over an experiment that reaches the columns.
 
 The wheel holds datagram deliveries only, and only from a loop deep
 enough to fill it (the depth gate: ``2 * slots`` live entries). Each
@@ -64,14 +69,18 @@ class OrderTrace:
             self.events.append((handle.when, None, type(handle).__name__))
 
 
-def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict]:
-    """One full seeded chaos run; returns (dispatch trace, counters)."""
+def run_chaos_scenario(salt: str, seed: int, wheel: bool, faults: bool) -> tuple[list, dict]:
+    """One full seeded chaos run; returns (dispatch trace, counters).
+
+    ``salt`` names the generator stream the topology, fault plan and
+    traffic are drawn from, so each test class keeps its own scenarios.
+    """
     net = Network(rand=DeterministicRandom(seed))
     if not wheel:
         # Disable after construction: Network's own tuner sizes the
         # wheel, so a pure-heap control run must switch it off here.
         net.loop.configure_wheel(None, 0)
-    rand = DeterministicRandom(f"wheel-eq:{seed}")
+    rand = DeterministicRandom(f"{salt}:{seed}")
     hosts = random_topology(rand.fork("topo"), net)
     if faults:
         FaultInjector(net).arm(random_plan(rand.fork("faults"), hosts, horizon=30.0))
@@ -89,7 +98,9 @@ def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict
         # the run, the burst's first 2 * slots datagrams included, did not.
         assert 0 < net.loop.wheel_batched < BURST_DATAGRAMS
     else:
-        assert net.loop.wheel_batched == 0  # control run truly heap-only
+        # The control run is truly heap-only: no column row, no drain.
+        assert net.loop.wheel_batched == 0
+        assert net.loop.wheel_batch_drains == 0
     counters = {
         "sent": net.datagrams_sent,
         "delivered": net.datagrams_delivered,
@@ -100,17 +111,42 @@ def run_chaos_scenario(seed: int, wheel: bool, faults: bool) -> tuple[list, dict
     return trace.events, counters
 
 
+def assert_heap_equivalent(salt: str, seed: int, faults: bool) -> None:
+    """Run one scenario wheel on and wheel off: traces and counters match."""
+    wheel_trace, wheel_counts = run_chaos_scenario(salt, seed, wheel=True, faults=faults)
+    heap_trace, heap_counts = run_chaos_scenario(salt, seed, wheel=False, faults=faults)
+    assert wheel_trace == heap_trace
+    assert wheel_counts == heap_counts
+    assert len(wheel_trace) == wheel_counts["events"]
+
+
+def run_heap_only(name: str, params: dict, monkeypatch):
+    """Run one experiment at seed 2024 with every network's wheel disabled.
+
+    Every Network sizes its wheel through ``_tune_wheel``, at
+    construction and on each latency-knob change: switch all of them
+    off, so every delivery the experiment makes is a heap entry.
+    """
+    loops = []
+
+    def heap_only(self):
+        self.loop.configure_wheel(None, 0)
+        loops.append(self.loop)
+
+    monkeypatch.setattr(Network, "_tune_wheel", heap_only)
+    run = execute_spec(name, 2024, params)
+    assert run.record.ok, run.record.error
+    assert loops and all(loop.wheel_batched == 0 for loop in loops)
+    return run
+
+
 class TestWheelHeapEquivalence:
     """Same seed, same plan => same dispatch order, wheel on or off."""
 
     @pytest.mark.parametrize("seed", chaos_seeds(3, "timing-wheel"))
     @pytest.mark.parametrize("faults", [False, True], ids=["calm", "chaos-mix"])
     def test_dispatch_trace_is_bit_identical(self, seed, faults):
-        wheel_trace, wheel_counts = run_chaos_scenario(seed, wheel=True, faults=faults)
-        heap_trace, heap_counts = run_chaos_scenario(seed, wheel=False, faults=faults)
-        assert wheel_trace == heap_trace
-        assert wheel_counts == heap_counts
-        assert len(wheel_trace) == wheel_counts["events"]
+        assert_heap_equivalent("wheel-eq", seed, faults)
 
     @pytest.mark.parametrize("name", ["bandwidth", "chaos"])
     def test_experiment_digest_survives_wheel_removal(self, name, monkeypatch):
@@ -118,13 +154,7 @@ class TestWheelHeapEquivalence:
         params = registry.get(name).resolve_params(quick=True)
         with_wheel = execute_spec(name, 2024, params)
         assert with_wheel.record.ok, with_wheel.record.error
-        # Every Network sizes its wheel through _tune_wheel: switch all
-        # of them off, so every delivery the experiment makes is a heap entry.
-        monkeypatch.setattr(
-            Network, "_tune_wheel", lambda self: self.loop.configure_wheel(None, 0)
-        )
-        without_wheel = execute_spec(name, 2024, params)
-        assert without_wheel.record.ok, without_wheel.record.error
+        without_wheel = run_heap_only(name, params, monkeypatch)
         assert with_wheel.record.result_digest == without_wheel.record.result_digest
 
 
@@ -287,6 +317,7 @@ class TestDepthGate:
     def test_timers_never_go_on_the_wheel(self):
         """Past the gate, an in-band timer still goes on the heap."""
         loop = EventLoop()
+        loop.configure_wheel(0.01, 8)
         pads = pad_past_depth_gate(loop)
         fired = []
         victim = loop.schedule(0.01, fired.append, "victim")

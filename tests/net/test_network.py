@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Endpoint, EventLoop, NatType, Network, TrafficCapture
+from repro.net.network import ShardNetwork
 from repro.util.errors import AddressInUseError, ConfigurationError
 from repro.util.rand import DeterministicRandom
 from tests.chaos.gen import cancel_all, pad_past_depth_gate
@@ -350,6 +351,18 @@ class TestInboxBounds:
             sock.deliver(b"x", src)
         assert len(sock.inbox) == 10_000
 
+    def test_zero_limit_counts_and_queues_nothing(self):
+        net = make_network()
+        a = net.add_host("a")
+        sock = net.add_host("b").bind_udp(2000, inbox_limit=0)
+        src = a.bind_udp(1000)
+        for i in range(9):
+            src.send(sock.endpoint, bytes(i + 1))
+        net.loop.run_all()
+        assert net.datagrams_delivered == 9
+        assert sock.bytes_received == sum(range(1, 10))
+        assert sock.inbox == []
+
 
 class TestDeliveryRule:
     """A socket with a handler hands each datagram to it and queues none.
@@ -454,6 +467,24 @@ class TestWheelSizing:
         assert net.loop._wheel_width == pytest.approx(self.knob_width(net))
         net.cross_region_latency = 0.3
         assert net.loop._wheel_width == pytest.approx(self.knob_width(net))
+
+    def test_network_sizes_its_wheel_once(self, monkeypatch):
+        # A bare loop starts with the wheel off, so building a network
+        # allocates the wheel's columns once, at the knob band.
+        calls = []
+        configure = EventLoop.configure_wheel
+
+        def spy(loop, *args):
+            calls.append(args)
+            configure(loop, *args)
+
+        monkeypatch.setattr(EventLoop, "configure_wheel", spy)
+        loop = EventLoop()
+        assert calls == [] and loop.wheel_stats()["slots"] == 0
+        for build in (lambda: Network(loop), Network, lambda: ShardNetwork(0, 1, ("us",))):
+            net = build()
+            assert calls == [(self.knob_width(net), net.loop._wheel_slots)]
+            calls.clear()
 
     def test_unchanged_geometry_short_circuits(self):
         # configure_wheel_for_band with the same derived band must not

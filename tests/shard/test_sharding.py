@@ -10,6 +10,7 @@ a window barrier, hosts crashing with cross-shard traffic in flight,
 and ``max_events`` budgets that must stay exact under sharding.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -212,6 +213,62 @@ class TestWindowReplay:
         assert worker.pending == SMALL["datagrams"]
         worker.run_window(10.0)
         assert 0 < worker.pending < SMALL["datagrams"]
+
+
+class TestShardBuild:
+    """Building a shard leaves the collector and the sockets as it found them."""
+
+    @staticmethod
+    def _count_collections(build) -> list[int]:
+        """Collections per generation while ``build()`` runs."""
+        counts = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "stop":
+                counts[info["generation"]] += 1
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            build()
+        finally:
+            gc.callbacks.remove(count)
+        return counts
+
+    def test_host_directory_costs_one_full_collection(self):
+        # The directory is ~8 tracked objects per host: a collector left
+        # running during the build walks it ~230 times at this size.
+        workload = SwarmWorkload(viewers=20_000, datagrams=20_000)
+        assert gc.isenabled()
+        young, middle, full = self._count_collections(lambda: ShardWorker(workload, 0, 1))
+        assert young + middle < 10
+        assert full == 1  # the build's own promotion pass
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_off_and_idle(self):
+        workload = SwarmWorkload(viewers=2_000, datagrams=2_000)
+        gc.disable()
+        try:
+            counts = self._count_collections(lambda: ShardWorker(workload, 0, 1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert counts == [0, 0, 0]
+
+    def test_swarm_sockets_queue_nothing(self):
+        worker = ShardWorker(SwarmWorkload(**SMALL), 0, 1)
+        barrier = 0.0
+        while worker.pending:
+            barrier += worker.workload.lookahead
+            worker.run_window(barrier)
+        sockets = [host.sockets[worker.workload.port]
+                   for host in worker.net._local_index.values()]
+        assert len(sockets) == SMALL["viewers"]
+        assert all(sock.inbox == [] for sock in sockets)
+        delivered = worker.stats()["delivered"]
+        assert delivered > 0
+        assert sum(sock.bytes_received for sock in sockets) == (
+            delivered * worker.workload.payload_bytes)
 
 
 class TestWorkerFailures:
