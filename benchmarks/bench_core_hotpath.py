@@ -198,7 +198,7 @@ def bench_swarm_sharded(viewers: int, datagrams: int, ladder: tuple[int, ...],
     first = rungs[str(min(int(k) for k in rungs))]
     final = rungs[str(report.workers)]
     wall = final["wall_seconds"]
-    # The same merge --profile applies: counters sum, occupancy maxes.
+    # WheelStats merges per-shard snapshots: counters sum, occupancy maxes.
     wheel = WheelStats()
     for shard in report.per_shard:
         wheel.absorb_remote(f"shard:{shard['shard']}", shard["wheel"])

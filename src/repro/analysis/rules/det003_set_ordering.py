@@ -68,7 +68,7 @@ def _sink_kind(node: ast.Call) -> str | None:
     return None
 
 
-def _sinks_in(body: list[ast.stmt]) -> list[tuple[ast.Call, str]]:
+def _sink_calls_in(body: list[ast.stmt]) -> list[tuple[ast.Call, str]]:
     sinks = []
     for stmt in body:
         for node in ast.walk(stmt):
@@ -111,7 +111,7 @@ class _ScopeVisitor(ast.NodeVisitor):
     def visit_For(self, node: ast.For) -> None:
         """Flag ``for x in <set>`` whose body reaches a sink."""
         if _is_set_expr(node.iter, self.set_names):
-            for _sink, kind in _sinks_in(node.body)[:1]:
+            for _sink, kind in _sink_calls_in(node.body)[:1]:
                 self.findings.append(
                     self.rule.finding(
                         self.ctx,

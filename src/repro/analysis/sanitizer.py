@@ -16,8 +16,8 @@ Seeded :class:`~repro.util.rand.DeterministicRandom` instances bind
 their draw methods to a private ``random.Random`` at construction, so
 they are — by design — unaffected by the module-level patch.
 
-**Dispatch tracing** (:class:`DispatchTrace`) hooks the event loop's
-pre-fire trace seam (:meth:`EventLoop.set_trace`) and folds every
+**Dispatch tracing** (:class:`DispatchTrace`) is a pre-fire event-loop
+observer (:meth:`EventLoop.add_observer`) that folds every
 fired event ``(when, callback site)`` into a running SHA-256
 fingerprint, keeping a bounded tail window of recent events. Two runs
 of the same seed must produce identical fingerprints;
@@ -167,7 +167,7 @@ class TraceSnapshot:
 class DispatchTrace:
     """Fold every fired event into a deterministic fingerprint.
 
-    Installed via :meth:`EventLoop.set_trace`; called before each
+    Armed via :meth:`EventLoop.add_observer`; called before each
     callback with the raw queue entry. The fingerprint chains
     ``sha256(prev_digest | when | site)`` so it commits to order, time,
     and callback identity; memory stays bounded by the checkpoint
@@ -182,7 +182,7 @@ class DispatchTrace:
         self._tail: list[tuple[int, float, str]] = []
 
     def __call__(self, loop: Any, entry: Any) -> None:
-        """Record one pre-fire event from the loop's trace seam."""
+        """Record one event about to fire, as a loop observer."""
         # Late import keeps sanitizer importable without the net stack.
         from repro.harness.profile import callback_of, callsite_of
 
@@ -296,13 +296,12 @@ class sanitized_run:
     """Context manager arming DetSan for one experiment execution.
 
     Installs the wall-clock/global-RNG guards and, when ``trace`` is
-    true, a fresh :class:`DispatchTrace` on the event loop's pre-fire
-    seam. The trace snapshot is read off :attr:`trace` after the block.
+    true, arms a fresh :class:`DispatchTrace` as an event-loop observer.
+    The trace snapshot is read off :attr:`trace` after the block.
     """
 
     def __init__(self, trace: bool = True, stride: int = 4096) -> None:
         self._guards = _Guards()
-        self._want_trace = trace
         self.trace: DispatchTrace | None = DispatchTrace(stride) if trace else None
 
     def __enter__(self) -> "sanitized_run":
@@ -310,14 +309,14 @@ class sanitized_run:
 
         self._guards.install()
         if self.trace is not None:
-            EventLoop.set_trace(self.trace)
+            EventLoop.add_observer(self.trace)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         from repro.net.clock import EventLoop
 
         if self.trace is not None:
-            EventLoop.clear_trace()
+            EventLoop.remove_observer(self.trace)
         self._guards.uninstall()
 
     def snapshot(self) -> TraceSnapshot | None:

@@ -122,7 +122,6 @@ def _print_text(outcome: RunOutcome) -> None:
         from repro.harness.profile import SiteProfiler, render_wheel_summary
 
         profiler = SiteProfiler()
-        profiler.total = outcome.profile["total_events"]
         profiler.sites = dict(outcome.profile["sites"])
         print()
         print(profiler.render())

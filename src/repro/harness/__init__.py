@@ -15,19 +15,18 @@ reproduction the same shape one layer up:
 - :mod:`repro.harness.runner` — the :class:`Runner` executing specs
   sequentially or in a process pool, writing artifacts, and verifying
   replay-from-seed determinism at runtime (``repro verify``);
-- :mod:`repro.harness.profile` — event-loop instrumentation sinks
+- :mod:`repro.harness.profile` — the pre-fire event-loop observers
   surfaced by ``--profile``.
 """
 
 from repro.harness.manifest import RunRecord
-from repro.harness.profile import EventCounter, SiteProfiler, TraceSink, capture_events
+from repro.harness.profile import SiteProfiler, capture_events
 from repro.harness.registry import CliOption, ExperimentSpec, all_specs, experiment, get, load_all
 from repro.harness.result import Result, ResultBase, canonical_json, content_digest, to_jsonable
 from repro.harness.runner import RunOutcome, Runner, VerifyReport, execute_spec
 
 __all__ = [
     "CliOption",
-    "EventCounter",
     "ExperimentSpec",
     "Result",
     "ResultBase",
@@ -35,7 +34,6 @@ __all__ = [
     "RunRecord",
     "Runner",
     "SiteProfiler",
-    "TraceSink",
     "VerifyReport",
     "all_specs",
     "canonical_json",

@@ -1,30 +1,29 @@
-"""Event-loop instrumentation sinks: the simulator's observability seam.
+"""Event-loop observers: what ``--profile`` sees of a run.
 
-:class:`~repro.net.clock.EventLoop` fires millions of callbacks per
-run but, until now, exposed only a total count. The sinks here attach
-through ``EventLoop.add_sink`` (class-wide, so every loop an experiment
-creates is covered — experiments routinely build several
-``Environment`` objects) and observe each fired event:
+Every :class:`~repro.net.clock.EventLoop` counts the events it fires,
+and :data:`~repro.net.clock.FIRED_TOTAL` sums those counts, so a run's
+event total needs no observer. The observers here go further and look at single
+events: each is armed with ``EventLoop.add_observer`` (class-wide, so
+every loop an experiment creates is covered — experiments routinely
+build several ``Environment`` objects) and called as ``hook(loop,
+entry)`` before each event fires:
 
-- :class:`EventCounter` — total events, the figure recorded in every
-  :class:`~repro.harness.manifest.RunRecord`;
 - :class:`SiteProfiler` — events grouped by *callback site* (module +
   qualified name), surfaced by ``repro <exp> --profile``, with timing-
   wheel counters folded in;
 - :class:`WheelStats` — the timing wheel's batched/overflow totals and
-  peak occupancy across every observed loop;
-- :class:`TraceSink` — a bounded ``(when, site)`` trace for debugging.
+  peak occupancy across every observed loop.
 
-Sinks observe, never mutate: they must not schedule events or touch
+Observers observe, never mutate: they must not schedule events or touch
 simulation state, or replay-from-seed breaks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.net.clock import EventLoop, TimerHandle
+from repro.net.clock import EventLoop
 from repro.util.tables import render_table
 
 
@@ -35,41 +34,21 @@ def callsite_of(callback) -> str:
     return f"{module}.{name}"
 
 
-def callback_of(handle) -> object:
-    """The fired callback behind a sink's ``handle`` argument.
+def callback_of(entry) -> object:
+    """The callback behind an observer's ``entry`` argument.
 
-    Sinks see either a :class:`~repro.net.clock.TimerHandle` or, for a
-    datagram delivery, the anonymous ``(when, seq, callback, args)``
+    Observers see either a :class:`~repro.net.clock.TimerHandle` or, for
+    a datagram delivery, the anonymous ``(when, seq, callback, args)``
     entry whose callback is the network's delivery method. A delivery
     that went to the heap is queued in that shape, and one drained from
     the wheel's batched columns is presented in it, so both tiers name
     the same site.
     """
-    return handle[2] if type(handle) is tuple else handle.callback
-
-
-class EventCounter:
-    """Counts every event fired by every loop while installed."""
-
-    def __init__(self) -> None:
-        self.total = 0
-
-    def record(self, loop: EventLoop, handle: TimerHandle) -> None:
-        """Observe one fired event."""
-        self.total += 1
-
-    def absorb_remote(self, key: str, report: dict) -> None:
-        """Add the events a shard worker process fired out of sight.
-
-        ``report`` is the worker's ``ShardWorker.final_report()``; its
-        loop ran in another address space, where this class-wide sink
-        could not observe it.
-        """
-        self.total += report["events_fired"]
+    return entry[2] if type(entry) is tuple else entry.callback
 
 
 class WheelStats:
-    """Timing-wheel counters sampled per fired event, across every loop.
+    """Timing-wheel counters sampled before each event, across every loop.
 
     Reads :meth:`EventLoop.wheel_occupancy` and the loop's cumulative
     ``wheel_overflow`` / ``wheel_batched`` / ``wheel_batch_drains``
@@ -89,13 +68,13 @@ class WheelStats:
         """Fold one remote loop's wheel counters into the aggregate.
 
         Shard worker processes (:mod:`repro.net.shard`) run their loops
-        in other address spaces, where class-wide sinks cannot see them;
-        the coordinator ships each worker's ``wheel_stats()`` dict home
-        and registers it here under a stable string key. Counters sum
-        with the locally observed loops, occupancy folds into the max —
-        so ``render_wheel_summary`` reports the whole sharded run, not
-        the parent's empty wheel. ``occupancy`` in a shipped snapshot is
-        the worker's barrier-sampled peak.
+        in other address spaces, where no observer sees them; each
+        worker's final report carries its loop's ``wheel_stats()``
+        dict, which a caller registers here under a stable string key.
+        Counters sum with the locally observed loops, occupancy folds
+        into the max — so ``render_wheel_summary`` reports the whole
+        sharded run. ``occupancy`` in a shipped snapshot is the worker's
+        barrier-sampled peak.
         """
         occupancy = wheel.get("occupancy", 0)
         if occupancy > self.max_occupancy:
@@ -106,8 +85,8 @@ class WheelStats:
             wheel.get("batch_drains", 0),
         )
 
-    def record(self, loop: EventLoop, handle: TimerHandle) -> None:
-        """Sample the wheel gauges of the loop that just fired."""
+    def __call__(self, loop: EventLoop, entry: object) -> None:
+        """Sample the wheel gauges of the loop about to fire ``entry``."""
         occupancy = loop.wheel_occupancy
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
@@ -162,25 +141,23 @@ def render_wheel_summary(wheel: dict) -> str:
     return line
 
 
-class SiteProfiler(EventCounter):
+class SiteProfiler:
     """Per-callback-site event counts, for ``--profile``."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.sites: dict[str, int] = {}
         self.wheel = WheelStats()
 
-    def record(self, loop: EventLoop, handle: TimerHandle) -> None:
-        """Observe one fired event and attribute it to its callback site."""
-        super().record(loop, handle)
-        site = callsite_of(callback_of(handle))
+    def __call__(self, loop: EventLoop, entry: object) -> None:
+        """Attribute the event about to fire to its callback site."""
+        site = callsite_of(callback_of(entry))
         self.sites[site] = self.sites.get(site, 0) + 1
-        self.wheel.record(loop, handle)
+        self.wheel(loop, entry)
 
-    def absorb_remote(self, key: str, report: dict) -> None:
-        """Count a shard worker's events and fold its wheel snapshot."""
-        super().absorb_remote(key, report)
-        self.wheel.absorb_remote(key, report["wheel"])
+    @property
+    def total(self) -> int:
+        """Events observed, over every site."""
+        return sum(self.sites.values())
 
     def top(self, n: int = 15) -> list[tuple[str, int]]:
         """The ``n`` busiest callback sites, busiest first."""
@@ -197,41 +174,26 @@ class SiteProfiler(EventCounter):
 
     def render(self, n: int = 15) -> str:
         """An aligned table of the busiest callback sites."""
+        total = self.total
         rows = [
-            [site, count, f"{count / self.total * 100:.1f}%" if self.total else "-"]
+            [site, count, f"{count / total * 100:.1f}%" if total else "-"]
             for site, count in self.top(n)
         ]
         table = render_table(
             ["callback site", "events", "share"],
             rows,
-            title=f"event-loop profile ({self.total} events, top {min(n, len(self.sites))} sites)",
+            title=f"event-loop profile ({total} events, top {min(n, len(self.sites))} sites)",
         )
         if self.wheel._loops:
             table = f"{table}\n{render_wheel_summary(self.wheel.to_dict())}"
         return table
 
 
-class TraceSink:
-    """A bounded trace of ``(when, site)`` pairs, oldest first."""
-
-    def __init__(self, limit: int = 100_000) -> None:
-        self.limit = limit
-        self.events: list[tuple[float, str]] = []
-        self.dropped = 0
-
-    def record(self, loop: EventLoop, handle: TimerHandle) -> None:
-        """Append one fired event to the trace, dropping past the limit."""
-        if len(self.events) >= self.limit:
-            self.dropped += 1
-            return
-        self.events.append((loop.now, callsite_of(callback_of(handle))))
-
-
 @contextmanager
-def capture_events(sink: EventCounter | TraceSink) -> Iterator[EventCounter | TraceSink]:
-    """Install ``sink`` on every :class:`EventLoop` for the block's duration."""
-    EventLoop.add_sink(sink)
+def capture_events(observer: Callable[[EventLoop, object], None]) -> Iterator:
+    """Arm ``observer`` on every :class:`EventLoop` for the block's duration."""
+    EventLoop.add_observer(observer)
     try:
-        yield sink
+        yield observer
     finally:
-        EventLoop.remove_sink(sink)
+        EventLoop.remove_observer(observer)

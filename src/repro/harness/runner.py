@@ -1,11 +1,12 @@
 """The run pipeline: execute specs, record manifests, verify determinism.
 
-:func:`execute_spec` is the unit of work — resolve a spec, run it under
-an event counter (and optionally a per-site profiler), and package a
-picklable :class:`RunOutcome`. :class:`Runner` fans those units out,
-either in-process or across a ``ProcessPoolExecutor`` (experiments are
-independent and fully seeded, so ``repro all --jobs N`` is
-embarrassingly parallel), writes artifacts under ``--out``, and powers
+:func:`execute_spec` is the unit of work — resolve a spec, run it
+(optionally under a per-site profiler), count the events every loop
+fired, and package a picklable :class:`RunOutcome`. :class:`Runner`
+fans those units out, either in-process or across a
+``ProcessPoolExecutor`` (experiments are independent and fully seeded,
+so ``repro all --jobs N`` is embarrassingly parallel), writes
+artifacts under ``--out``, and powers
 ``repro verify``: re-run every experiment at the same seed and fail on
 any content-digest mismatch — the replay-from-seed contract reprolint
 enforces statically, checked dynamically.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -29,8 +31,9 @@ from typing import Any, Iterable, Mapping
 from repro.analysis.sanitizer import TraceSnapshot, first_divergence, sanitized_run
 from repro.harness import registry
 from repro.harness.manifest import RunRecord
-from repro.harness.profile import EventCounter, SiteProfiler, capture_events
+from repro.harness.profile import SiteProfiler, capture_events
 from repro.harness.result import canonical_json, content_digest
+from repro.net.clock import FIRED_TOTAL
 from repro.util.perf import WallTimer, peak_rss_kb, unix_now
 from repro.util.tables import render_table
 
@@ -120,20 +123,21 @@ def execute_spec(
     if workers_env and any(option.param == "shard_workers" for option in spec.options):
         params["shard_workers"] = int(workers_env)
     sanitize = sanitize or detsan_env_enabled()
-    counter = SiteProfiler() if profile else EventCounter()
+    profiler = SiteProfiler() if profile else None
     record = RunRecord(experiment=name, seed=seed, params=params, started_at_unix=unix_now())
     rendered = ""
     result_dict: dict[str, Any] | None = None
     trace: TraceSnapshot | None = None
     detsan = sanitized_run() if sanitize else None
+    fired_before = FIRED_TOTAL[0]
     with WallTimer() as timer:
         try:
-            with capture_events(counter):
+            with ExitStack() as observers:
+                if profiler is not None:
+                    observers.enter_context(capture_events(profiler))
                 if detsan is not None:
-                    with detsan:
-                        result = spec.runner(seed=seed, **params)
-                else:
-                    result = spec.runner(seed=seed, **params)
+                    observers.enter_context(detsan)
+                result = spec.runner(seed=seed, **params)
             result_dict = result.to_dict()
             record.result_digest = content_digest(result_dict)
             record.result_type = type(result).__qualname__
@@ -147,9 +151,9 @@ def execute_spec(
     if detsan is not None:
         trace = detsan.snapshot()
     record.wall_seconds = timer.elapsed
-    record.events_fired = counter.total
+    record.events_fired = FIRED_TOTAL[0] - fired_before
     record.peak_rss_kb = peak_rss_kb()
-    profile_data = counter.to_dict() if isinstance(counter, SiteProfiler) else None
+    profile_data = profiler.to_dict() if profiler is not None else None
     return RunOutcome(
         record=record, rendered=rendered, result_dict=result_dict,
         profile=profile_data, trace=trace,

@@ -35,15 +35,18 @@ shared code costs one call frame per drain, not one per event.
 :attr:`EventLoop.pending` is an O(1) counter maintained by
 ``schedule``/``cancel``/dispatch instead of a queue scan.
 
-Observability: sinks registered via :meth:`EventLoop.add_sink` are
-notified after every fired event (see :mod:`repro.harness.profile`);
+Observability: each loop counts the events it fires
+(:attr:`EventLoop.events_fired`), and :data:`FIRED_TOTAL` adds up every
+loop's count once per drain, so a run's event count costs nothing per
+event. Observers armed with :meth:`EventLoop.add_observer`
+are called with each event **before** its callback runs, so the event
+whose callback raises, or diverges between runs, is already observed
+when it does. DetSan's dispatch trace (:mod:`repro.analysis.sanitizer`)
+and ``--profile``'s site counts (:mod:`repro.harness.profile`) are the
+in-tree observers. They are class-wide so a harness sees every loop an
+experiment creates, and they must only observe, never schedule.
 :meth:`EventLoop.wheel_stats` exposes the wheel's occupancy and
-overflow counters. Sinks are class-wide so a harness can observe every
-loop an experiment creates; they must only observe, never schedule.
-A single *pre-fire* trace hook (:meth:`EventLoop.set_trace`) is called
-with each selected event **before** its callback runs — DetSan
-(:mod:`repro.analysis.sanitizer`) uses it so the event whose callback
-raises, or diverges between runs, is already in the trace when it does.
+overflow counters.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ DEFAULT_WHEEL_SLOTS = 512
 #: Floor for a derived bucket width — a degenerate band (all-zero
 #: latencies) must not produce zero-width buckets.
 MIN_WHEEL_WIDTH = 1e-5
+
+#: Events fired by every loop in this process, plus those shard worker
+#: processes report home (:mod:`repro.net.shard`); a harness reads a
+#: run's count as the difference across the run. One list cell that
+#: each drain adds to in place: rebinding a class attribute instead
+#: would reset the interpreter's attribute caches for every EventLoop
+#: on each drain.
+FIRED_TOTAL = [0]
 
 
 class TimerHandle:
@@ -180,15 +191,9 @@ class EventLoop:
         "wheel_overflow", "wheel_batched", "wheel_batch_drains",
     )
 
-    #: Class-wide observer sinks (see :mod:`repro.harness.profile`). A
-    #: tuple so the hot-path emptiness check is a plain truthiness test.
-    _sinks: ClassVar[tuple] = ()
-
-    #: Class-wide pre-fire trace hook: ``_trace(loop, entry_or_handle)``
-    #: called before each event's callback runs. One hook, not a tuple —
-    #: it sits on the hottest line in the simulator, and DetSan is its
-    #: only client.
-    _trace: ClassVar[Any] = None
+    #: Class-wide pre-fire observers (:meth:`add_observer`). A tuple so
+    #: the hot-path emptiness check is a plain truthiness test.
+    _observers: ClassVar[tuple] = ()
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -224,24 +229,20 @@ class EventLoop:
     # -- instrumentation -------------------------------------------------
 
     @classmethod
-    def add_sink(cls, sink: Any) -> None:
-        """Register an observer notified as ``sink.record(loop, handle)``."""
-        cls._sinks = cls._sinks + (sink,)  # repro: allow[SHARD001] harness-owned observability, not sim state
+    def add_observer(cls, hook: Callable[["EventLoop", Any], None]) -> None:
+        """Call ``hook(loop, entry)`` before every event any loop fires.
+
+        ``entry`` is the event's :class:`TimerHandle`, or for a datagram
+        delivery its ``(when, seq, callback, (host, port, payload,
+        src))`` entry (:meth:`_datagram_entry`); ``loop.now`` is already
+        the event's time.
+        """
+        cls._observers = cls._observers + (hook,)  # repro: allow[SHARD001] harness-owned observability, not sim state
 
     @classmethod
-    def remove_sink(cls, sink: Any) -> None:
-        """Unregister a sink previously passed to :meth:`add_sink`."""
-        cls._sinks = tuple(s for s in cls._sinks if s is not sink)  # repro: allow[SHARD001] harness-owned observability, not sim state
-
-    @classmethod
-    def set_trace(cls, hook: Any) -> None:
-        """Install the pre-fire trace hook (replacing any previous one)."""
-        cls._trace = hook  # repro: allow[SHARD001] harness-owned observability, not sim state
-
-    @classmethod
-    def clear_trace(cls) -> None:
-        """Remove the pre-fire trace hook."""
-        cls._trace = None  # repro: allow[SHARD001] harness-owned observability, not sim state
+    def remove_observer(cls, hook: Callable[["EventLoop", Any], None]) -> None:
+        """Disarm an observer previously passed to :meth:`add_observer`."""
+        cls._observers = tuple(h for h in cls._observers if h is not hook)  # repro: allow[SHARD001] harness-owned observability, not sim state
 
     def set_datagram_plane(self, drain: Any, callback: Any) -> None:
         """Install the network's batched datagram delivery plane.
@@ -253,9 +254,8 @@ class EventLoop:
         ``callback`` itself, and honouring ``deadline``/``budget``) and
         return how many it fired. ``callback`` is the representative
         per-datagram callable — what a heap-resident delivery carries —
-        used to synthesize that entry shape for sinks, the trace hook,
-        flushes to the heap, and :meth:`_iter_queued` (see
-        :meth:`_datagram_entry`).
+        used to synthesize that entry shape for observers, flushes to
+        the heap, and :meth:`_iter_queued` (see :meth:`_datagram_entry`).
         """
         self._dg_drain = drain
         self._dg_callback = callback
@@ -264,8 +264,8 @@ class EventLoop:
         """The legacy ``(when, seq, callback, (host, port, payload, src))``
         entry for a 6-field batched row.
 
-        The one place a column row takes the classic entry shape: the
-        trace hook, sinks, heap flushes and queue scans all see it, so
+        The one place a column row takes the classic entry shape:
+        observers, heap flushes and queue scans all see it, so
         instrumentation needs only one tuple vocabulary.
         """
         return (row[0], row[1], self._dg_callback, row[2:])
@@ -276,7 +276,7 @@ class EventLoop:
         return self._wheel_count + len(self._cursor)
 
     def wheel_stats(self) -> dict:
-        """The wheel's geometry and counters, for profile sinks/benches."""
+        """The wheel's geometry and counters, for ``--profile`` and benches."""
         return {
             "slots": self._wheel_slots,
             "bucket_width": self._wheel_width,
@@ -492,12 +492,12 @@ class EventLoop:
         of due rows goes to the datagram plane's drain in one frame,
         with the remaining budget; otherwise the heap top fires here.
         Anonymous 4-tuples (datagram deliveries that went to the heap)
-        skip the cancelled check and handle bookkeeping, and sinks
+        skip the cancelled check and handle bookkeeping, and observers
         receive the raw 4-tuple for them (see
         ``repro.harness.profile.callback_of``). The fired count is
-        flushed to ``events_fired`` in a ``finally``, so the counter is
-        only guaranteed current *between* drains — no in-tree callback
-        reads it mid-drain.
+        flushed to ``events_fired`` and :data:`FIRED_TOTAL` in a
+        ``finally``, so the counters are only guaranteed current
+        *between* drains — no in-tree callback reads them mid-drain.
         """
         heap = self._heap
         fired = 0
@@ -521,31 +521,27 @@ class EventLoop:
                     break
                 entry = heappop(heap)
                 if len(entry) == 4:
-                    self._live -= 1
-                    self.now = entry[0]
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, entry)
-                    entry[2](*entry[3])
                     handle: Any = entry
                 else:
-                    when, _, handle = entry
+                    handle = entry[2]
                     if handle.cancelled:
                         continue
-                    self._live -= 1
                     handle._loop = None
-                    self.now = when
-                    if EventLoop._trace is not None:
-                        EventLoop._trace(self, handle)
-                    if handle._repeating:
-                        handle._fire(self)
-                    else:
-                        handle.callback(*handle.args)
+                self._live -= 1
+                self.now = entry[0]
+                if EventLoop._observers:
+                    for observe in EventLoop._observers:
+                        observe(self, handle)
+                if handle is entry:
+                    entry[2](*entry[3])
+                elif handle._repeating:
+                    handle._fire(self)
+                else:
+                    handle.callback(*handle.args)
                 fired += 1
-                if EventLoop._sinks:
-                    for sink in EventLoop._sinks:
-                        sink.record(self, handle)
         finally:
             self._events_fired += fired
+            FIRED_TOTAL[0] += fired  # repro: allow[SHARD001] harness-owned observability, not sim state
         return fired
 
     def step(self) -> bool:

@@ -628,17 +628,15 @@ class Network:
                 live += 1
                 in_flight += 1
                 loop.now = when
-                # The trace hook and sinks see the legacy entry shape
-                # (same callsite fingerprint as a heap-resident
-                # delivery), synthesized only when someone is watching.
-                # Both hooks are re-read per event, exactly like the
-                # loop's fire kernel, so instrumentation attached by a
-                # handler mid-drain takes effect immediately.
-                entry = None
-                trace = EventLoop._trace
-                if trace is not None:
+                # Observers see the legacy entry shape (same callsite
+                # fingerprint as a heap-resident delivery), synthesized
+                # only when someone is watching. Re-read per event,
+                # exactly like the loop's fire kernel, so an observer
+                # armed by a handler mid-drain takes effect immediately.
+                if EventLoop._observers:
                     entry = top if len(top) == 4 else loop._datagram_entry(top)
-                    trace(loop, entry)
+                    for observe in EventLoop._observers:
+                        observe(loop, entry)
                 if host is not prev_host or port != prev_port:
                     prev_host = host
                     prev_port = port
@@ -666,12 +664,6 @@ class Network:
                         faults = self.faults
                         cursor = loop._cursor
                         heap = loop._heap
-                sinks = EventLoop._sinks
-                if sinks:
-                    if entry is None:
-                        entry = top if len(top) == 4 else loop._datagram_entry(top)
-                    for s in sinks:
-                        s.record(loop, entry)
         finally:
             loop._live -= live
             self.datagrams_in_flight -= in_flight

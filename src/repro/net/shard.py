@@ -44,9 +44,10 @@ enforced here and spelled out in ``docs/SHARDING.md``:
 ``run_workload`` is the entry point; it picks the multi-process
 coordinator, or an in-process round-robin ("inline") coordinator when
 the run needs a single address space — one worker, an exact
-``max_events`` budget, or an armed dispatch-trace hook (``verify
---sanitize`` must see every shard's events in one
-:class:`~repro.analysis.sanitizer.DispatchTrace`).
+``max_events`` budget, or an armed event-loop observer (``verify
+--sanitize`` and ``--profile`` must see every shard's events in one
+:class:`~repro.analysis.sanitizer.DispatchTrace` or
+:class:`~repro.harness.profile.SiteProfiler`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from sys import maxsize as _MAX_EVENTS
 
-from repro.net.clock import EventLoop
+from repro.net.clock import FIRED_TOTAL, EventLoop
 from repro.net.faults import FaultInjector, FaultPlan, RandomFaultPlanner, load_plan
 from repro.net.network import Host, RemoteHostRef, ShardNetwork
 from repro.scenarios.arrivals import FlashCrowdArrivals
@@ -616,33 +617,15 @@ def _merge_reports(
     )
 
 
-def _publish_worker_reports(reports: list[dict]) -> None:
-    """Feed worker reports (event counts, wheel snapshots) to absorbing sinks.
-
-    Only the multi-process coordinator calls this: inline shards live in
-    the observing process, where class-wide sinks already record every
-    fired event directly, and absorbing the same counters again would
-    double-count.
-    """
-    sinks = EventLoop._sinks
-    if not sinks:
-        return
-    for report in reports:
-        key = f"shard:{report['shard']}"
-        for sink in sinks:
-            absorb = getattr(sink, "absorb_remote", None)
-            if absorb is not None:
-                absorb(key, report)
-
-
 def _run_inline(
     workload: SwarmWorkload, workers: int, max_events: int | None
 ) -> ShardRunReport:
     """Round-robin the shards in-process, one barrier window at a time.
 
     Bit-identical to the multi-process coordinator (same barriers, same
-    batch exchange order), which is what lets DetSan's dispatch trace
-    and ``run_all(max_events=N)`` exactness cover sharded runs without
+    batch exchange order), which is what lets event-loop observers
+    (DetSan's dispatch trace, ``--profile``) and
+    ``run_all(max_events=N)`` exactness cover sharded runs without
     crossing a process boundary. The ``max_events`` budget is handed
     down window by window; exhausting it with work still queued raises
     the same livelock error :meth:`EventLoop.run_all` would.
@@ -759,7 +742,9 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
 
     A worker that raises, or dies without replying, stops the run with
     :class:`ShardWorkerError`; every worker is joined, or terminated,
-    before this returns or raises.
+    before this returns or raises. The workers' event counts are added
+    to :data:`~repro.net.clock.FIRED_TOTAL`, which their own loops
+    cannot reach.
     """
     try:
         context = multiprocessing.get_context("fork")
@@ -826,7 +811,7 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=5)
-    _publish_worker_reports(reports)
+    FIRED_TOTAL[0] += sum(report["events_fired"] for report in reports)  # repro: allow[SHARD001] harness-owned observability, not sim state
     return _merge_reports(workload, workers, "process", windows, reports)
 
 
@@ -843,14 +828,15 @@ def run_workload(
     would idle forever). ``inline=None`` auto-selects: multi-process
     when parallelism can pay, in-process round-robin when the run needs
     one address space — a single worker, an exact ``max_events`` budget,
-    or an armed dispatch-trace hook (``verify --sanitize``).
+    or an armed event-loop observer (``verify --sanitize``,
+    ``--profile``), which could not see a worker process's loop.
     """
     workers = max(1, min(workers, len(workload.regions)))
     if inline is None:
         inline = (
             workers == 1
             or max_events is not None
-            or EventLoop._trace is not None
+            or bool(EventLoop._observers)
         )
     if not inline and max_events is not None:
         raise ConfigurationError(

@@ -168,7 +168,7 @@ class TestDispatchTrace:
 
     def test_trace_seam_cleared_after_context(self):
         run_loop([(1.0, cb_a)])
-        assert EventLoop._trace is None
+        assert EventLoop._observers == ()
 
     def test_snapshot_is_plain_data(self):
         import pickle
@@ -192,7 +192,7 @@ class TestSanitizedRunEndToEnd:
                 loop.run_all()
         # Guards must be gone even though the run raised.
         assert not hasattr(time.perf_counter, "__detsan_original__")
-        assert EventLoop._trace is None
+        assert EventLoop._observers == ()
 
     def test_trace_disabled_when_not_wanted(self):
         with sanitized_run(trace=False) as detsan:

@@ -78,12 +78,12 @@ class TestHarvestingPeer:
 
 
 class _FireTimes:
-    """Loop sink recording the instant of every fired event."""
+    """Loop observer recording the instant of every fired event."""
 
     def __init__(self):
         self.times = []
 
-    def record(self, loop, entry):
+    def __call__(self, loop, entry):
         self.times.append(loop.now)
 
 
@@ -107,12 +107,12 @@ class TestHarvestWindows:
         harvester = HarvestingPeer(env, provider, key.key, "https://cdn/v.m3u8",
                                    origin="https://site.com", poll_interval=5.0,
                                    windows=self.WINDOWS)
-        sink = _FireTimes()
-        monkeypatch.setattr(EventLoop, "_sinks", (sink,))
+        fire_times = _FireTimes()
+        monkeypatch.setattr(EventLoop, "_observers", (fire_times,))
         harvester.start()
         env.run(3000.0)
-        assert sink.times
-        assert all(any(t0 <= t <= t1 for t0, t1 in self.WINDOWS) for t in sink.times)
+        assert fire_times.times
+        assert all(any(t0 <= t <= t1 for t0, t1 in self.WINDOWS) for t in fire_times.times)
 
     def test_polls_stay_on_the_start_grid(self):
         env, provider, key = windowed_world()

@@ -22,25 +22,21 @@ QUICK = dict(viewers=3, segments=5, segment_seconds=3.0, segment_bytes=30_000,
              join_stagger=1.5)
 
 
-class _MonotonicNowSink:
-    """EventLoop sink asserting simulated time never runs backwards."""
+class _MonotonicNow:
+    """EventLoop observer asserting simulated time never runs backwards."""
 
     def __init__(self):
         self.last = 0.0
         self.events = 0
 
-    def record(self, loop, handle):
-        from repro.net.clock import RepeatingHandle
-
+    def __call__(self, loop, entry):
         assert loop.now >= self.last, f"time ran backwards: {loop.now} < {self.last}"
-        if isinstance(handle, tuple):
-            # Anonymous fast event: (when, seq, callback, args).
-            assert handle[0] <= loop.now
-        elif not isinstance(handle, RepeatingHandle):
-            # Plain timers never fire before their due time. (A repeating
-            # handle's .when already points at its *next* occurrence.)
-            assert handle.when <= loop.now
-        self.last = max(self.last, loop.now)
+        # Observed before it fires, every event is exactly due: a
+        # delivery's (when, seq, callback, args) entry, or a timer's
+        # handle, repeating ones included.
+        due = entry[0] if isinstance(entry, tuple) else entry.when
+        assert due == loop.now
+        self.last = loop.now
         self.events += 1
 
 
@@ -80,15 +76,15 @@ class TestChaosRunInvariants:
         assert len(digests) > 1
 
     def test_no_event_fires_before_its_time(self):
-        sink = _MonotonicNowSink()
-        EventLoop.add_sink(sink)
+        observer = _MonotonicNow()
+        EventLoop.add_observer(observer)
         try:
             result = chaos_run(seed=chaos_seeds(1, "monotonic")[0],
                                faults="chaos-mix", **QUICK)
         finally:
-            EventLoop.remove_sink(sink)
+            EventLoop.remove_observer(observer)
         assert result.conservation_ok
-        assert sink.events > 0
+        assert observer.events > 0
 
 
 class TestPollutionUnderChaos:

@@ -5,13 +5,14 @@ heap by ``(when, seq)``, so a wheel-enabled loop must fire the *exact*
 same event sequence as a pure-heap loop, seed for seed, fault plan for
 fault plan. The property tests here run whole chaos scenarios twice
 (wheel on / wheel off) and compare the full dispatch trace and every
-network counter; the experiment-level test proves the pinned result
-digests are reproduced with the wheel disabled outright. The wheel's
-slots are the batched plane's column rings, so the same switch is the
-oracle for ``Network._drain_cursor``'s batched delivery too:
-``tests/chaos/test_batched_delivery.py`` runs this module's oracle
-(``assert_heap_equivalent``, ``run_heap_only``) over its own scenario
-stream and over an experiment that reaches the columns.
+network counter. The wheel's slots are the batched plane's column
+rings, so the same switch is the oracle for ``Network._drain_cursor``'s
+batched delivery too: ``tests/chaos/test_batched_delivery.py`` runs
+this module's oracle (``assert_heap_equivalent``, ``run_heap_only``)
+over its own scenario stream, and its
+``test_experiment_digest_survives_batching_removal`` proves that an
+experiment whose traffic reaches the columns gives the same result
+digest with the wheel disabled outright.
 
 The wheel holds datagram deliveries only, and only from a loop deep
 enough to fill it (the depth gate: ``2 * slots`` live entries). Each
@@ -28,7 +29,6 @@ rule that timers never go on the wheel.
 import pytest
 
 import repro.experiments  # noqa: F401  - triggers @experiment registration
-from repro.harness import registry
 from repro.harness.runner import execute_spec
 from repro.net.clock import EventLoop
 from repro.net.faults import FaultInjector
@@ -51,7 +51,7 @@ from tests.chaos.gen import (
 
 
 class OrderTrace:
-    """A sink recording the exact dispatch sequence, seq numbers included.
+    """An observer recording the exact dispatch sequence, seq numbers included.
 
     Anonymous fast-path entries expose their ``(when, seq)`` directly;
     handle-based timers contribute ``when`` plus their kind. Two runs
@@ -62,7 +62,7 @@ class OrderTrace:
     def __init__(self) -> None:
         self.events: list[tuple] = []
 
-    def record(self, loop: EventLoop, handle) -> None:
+    def __call__(self, loop: EventLoop, handle) -> None:
         if type(handle) is tuple:
             self.events.append((handle[0], handle[1], "fast"))
         else:
@@ -87,11 +87,11 @@ def run_chaos_scenario(salt: str, seed: int, wheel: bool, faults: bool) -> tuple
     pump_random_traffic(rand.fork("traffic"), net, hosts, count=300, horizon=25.0)
     schedule_burst(net, at=12.5)
     trace = OrderTrace()
-    EventLoop.add_sink(trace)
+    EventLoop.add_observer(trace)
     try:
         net.loop.run_until(40.0)
     finally:
-        EventLoop.remove_sink(trace)
+        EventLoop.remove_observer(trace)
     assert_conserved(net)
     if wheel:
         # The burst's deep stretch used the wheel; the shallow rest of
@@ -147,15 +147,6 @@ class TestWheelHeapEquivalence:
     @pytest.mark.parametrize("faults", [False, True], ids=["calm", "chaos-mix"])
     def test_dispatch_trace_is_bit_identical(self, seed, faults):
         assert_heap_equivalent("wheel-eq", seed, faults)
-
-    @pytest.mark.parametrize("name", ["bandwidth", "chaos"])
-    def test_experiment_digest_survives_wheel_removal(self, name, monkeypatch):
-        """The pinned digests do not depend on the wheel existing at all."""
-        params = registry.get(name).resolve_params(quick=True)
-        with_wheel = execute_spec(name, 2024, params)
-        assert with_wheel.record.ok, with_wheel.record.error
-        without_wheel = run_heap_only(name, params, monkeypatch)
-        assert with_wheel.record.result_digest == without_wheel.record.result_digest
 
 
 def wheel_net() -> tuple[Network, UdpSocket, list]:

@@ -1,9 +1,8 @@
-"""Tests for event-loop instrumentation sinks."""
+"""Tests for the event-loop observers behind ``--profile``."""
 
 from repro.harness.profile import (
-    EventCounter,
     SiteProfiler,
-    TraceSink,
+    callback_of,
     callsite_of,
     capture_events,
 )
@@ -27,32 +26,26 @@ class TestCallsite:
         assert isinstance(label, str) and label
 
 
-class TestEventCounter:
-    def test_counts_fired_events(self):
-        loop = EventLoop()
-        for i in range(5):
-            loop.schedule_at(float(i), _tick)
-        with capture_events(EventCounter()) as counter:
-            loop.run_until(10.0)
-        assert counter.total == 5
-        assert counter.total == loop.events_fired
+class TestCaptureEvents:
+    def test_observes_every_loop_instance(self):
+        seen = []
+        loops = [EventLoop(), EventLoop()]
+        with capture_events(lambda observed, entry: seen.append((observed, observed.now, callback_of(entry)))):
+            for i, loop in enumerate(loops):
+                loop.schedule_at(float(i), _tick)
+                loop.run_until(5.0)
+        assert seen == [(loops[0], 0.0, _tick), (loops[1], 1.0, _tick)]
 
-    def test_sink_removed_after_context(self):
+    def test_observer_removed_after_the_block(self):
         loop = EventLoop()
-        with capture_events(EventCounter()) as counter:
+        seen = []
+        with capture_events(lambda observed, entry: seen.append(observed.now)):
             loop.schedule_at(0.0, _tick)
             loop.run_until(1.0)
         loop.schedule_at(2.0, _tick)
         loop.run_until(3.0)
-        assert counter.total == 1
-
-    def test_observes_every_loop_instance(self):
-        with capture_events(EventCounter()) as counter:
-            for _ in range(2):
-                loop = EventLoop()
-                loop.schedule_at(0.0, _tick)
-                loop.run_until(1.0)
-        assert counter.total == 2
+        assert seen == [0.0]
+        assert EventLoop._observers == ()
 
 
 class TestSiteProfiler:
@@ -101,22 +94,3 @@ class TestSiteProfiler:
             {"overflow": 0, "batched": 9, "batch_drains": 3, "max_occupancy": 4}
         )
         assert "9 datagrams over 3 drains (3.0/drain)" in busy
-
-
-class TestTraceSink:
-    def test_records_when_and_site(self):
-        loop = EventLoop()
-        loop.schedule_at(1.5, _tick)
-        with capture_events(TraceSink()) as trace:
-            loop.run_until(2.0)
-        assert trace.events == [(1.5, f"{__name__}._tick")]
-        assert trace.dropped == 0
-
-    def test_bounded(self):
-        loop = EventLoop()
-        for i in range(5):
-            loop.schedule_at(float(i), _tick)
-        with capture_events(TraceSink(limit=3)) as trace:
-            loop.run_until(10.0)
-        assert len(trace.events) == 3
-        assert trace.dropped == 2

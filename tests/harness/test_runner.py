@@ -7,6 +7,7 @@ import pytest
 from repro.harness import registry
 from repro.harness.manifest import RunRecord
 from repro.harness.runner import RunRequest, Runner, execute_spec
+from repro.net.clock import EventLoop
 
 # The three fastest experiments (sub-100ms each), used wherever a test
 # has to actually execute experiments rather than mock them.
@@ -60,8 +61,8 @@ class TestExecuteSpec:
         assert outcome.profile["sites"]
 
     def test_process_mode_shards_count_their_events(self, monkeypatch):
-        # Forked shard workers fire their events where the parent's
-        # sinks cannot see them; the coordinator must fold their counts
+        # Forked shard workers fire their events outside the parent's
+        # FIRED_TOTAL; the coordinator must fold their counts
         # into the run record.
         for name in ("REPRO_SHARD_WORKERS", "REPRO_DETSAN"):
             monkeypatch.delenv(name, raising=False)
@@ -72,6 +73,61 @@ class TestExecuteSpec:
         # The workers' own high-water marks, which getrusage(SELF) in
         # the coordinator does not include.
         assert record.extra["worker_peak_rss_kb"] > 0
+
+    def test_profiled_multi_worker_swarm_runs_inline(self, monkeypatch):
+        # An observer cannot see a worker process's loop, so --profile
+        # keeps every shard in one address space: the site table covers
+        # every event, and the digest is the process-mode one.
+        for name in ("REPRO_SHARD_WORKERS", "REPRO_DETSAN"):
+            monkeypatch.delenv(name, raising=False)
+        params = dict(quick_params("swarm-scale"), shard_workers=2)
+        forked = execute_spec("swarm-scale", seed=2024, params=params).record
+        assert forked.ok and forked.extra["mode"] == "process"
+        outcome = execute_spec("swarm-scale", seed=2024, params=params, profile=True)
+        record = outcome.record
+        assert record.ok, record.error
+        assert record.extra["mode"] == "inline"
+        assert sum(outcome.profile["sites"].values()) == record.events_fired == 2000
+        assert record.result_digest == forked.result_digest
+        assert record.result_digest.startswith("3c24d8f8fd10")
+
+    def test_events_fired_sums_every_loop_the_run_built(self, monkeypatch):
+        loops = []
+        init = EventLoop.__init__
+
+        def collect(self):
+            init(self)
+            loops.append(self)
+
+        monkeypatch.setattr(EventLoop, "__init__", collect)
+        params = quick_params("scenario-matrix")
+        record = execute_spec("scenario-matrix", seed=2024, params=params).record
+        assert record.ok, record.error
+        assert len(loops) > 1
+        assert record.events_fired == sum(loop.events_fired for loop in loops) == 4998
+
+    def test_plain_run_arms_no_observer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DETSAN", raising=False)
+        armed = []
+        drain = EventLoop._drain
+
+        def watch(self, deadline, budget):
+            armed.append(EventLoop._observers)
+            return drain(self, deadline, budget)
+
+        monkeypatch.setattr(EventLoop, "_drain", watch)
+        record = execute_spec("token-defense", seed=2024).record
+        assert record.ok and record.events_fired > 0
+        assert armed and all(observers == () for observers in armed)
+
+    def test_profile_and_sanitize_observe_the_same_events(self):
+        params = quick_params("chaos")
+        outcome = execute_spec("chaos", seed=2024, params=params, profile=True, sanitize=True)
+        assert outcome.record.ok, outcome.record.error
+        assert outcome.trace is not None and outcome.profile is not None
+        assert (outcome.trace.count == outcome.profile["total_events"]
+                == outcome.record.events_fired > 0)
+        assert EventLoop._observers == ()
 
 
 class TestRunner:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.clock import EventLoop, RepeatingHandle
+from repro.net.clock import FIRED_TOTAL, EventLoop, RepeatingHandle
 from repro.util.errors import ConfigurationError
 
 
@@ -142,3 +142,70 @@ class TestCallEvery:
         loop.schedule(0.0, reschedule)
         with pytest.raises(RuntimeError):
             loop.run_all(max_events=100)
+
+
+class TestObservation:
+    def test_fired_total_sums_every_loop(self):
+        before = FIRED_TOTAL[0]
+        loops = [EventLoop(), EventLoop()]
+        for n, loop in enumerate(loops, start=2):
+            for i in range(n):
+                loop.schedule_at(float(i), lambda: None)
+            loop.run_until(10.0)
+        assert [loop.events_fired for loop in loops] == [2, 3]
+        assert FIRED_TOTAL[0] - before == 5
+
+    def test_drains_rebind_no_class_attribute(self):
+        # Rebinding a class attribute resets the interpreter's attribute
+        # caches for every EventLoop, so drains count into FIRED_TOTAL's
+        # cell and leave the class alone.
+        before = dict(vars(EventLoop))
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None)
+        loop.run_until(2.0)
+        assert loop.events_fired == 1
+        assert dict(vars(EventLoop)) == before
+
+    def test_observer_runs_before_the_callback(self):
+        loop = EventLoop()
+        order = []
+
+        def observe(observed, entry):
+            order.append(("observed", observed.now))
+
+        loop.schedule_at(1.0, lambda: order.append(("fired", loop.now)))
+        loop.call_every(2.0, lambda: order.append(("tick", loop.now)), until=4.0)
+        EventLoop.add_observer(observe)
+        try:
+            loop.run_until(5.0)
+        finally:
+            EventLoop.remove_observer(observe)
+        assert order == [
+            ("observed", 1.0), ("fired", 1.0),
+            ("observed", 2.0), ("tick", 2.0),
+            ("observed", 4.0), ("tick", 4.0),
+        ]
+        assert EventLoop._observers == ()
+
+    def test_raising_callback_is_observed_but_not_counted(self):
+        loop = EventLoop()
+        seen = []
+
+        def boom():
+            raise ValueError("boom")
+
+        def observe(observed, entry):
+            seen.append(observed.now)
+
+        loop.schedule_at(1.0, lambda: None)
+        loop.schedule_at(2.0, boom)
+        before = FIRED_TOTAL[0]
+        EventLoop.add_observer(observe)
+        try:
+            with pytest.raises(ValueError):
+                loop.run_all()
+        finally:
+            EventLoop.remove_observer(observe)
+        assert seen == [1.0, 2.0]
+        assert loop.events_fired == 1
+        assert FIRED_TOTAL[0] - before == 1
