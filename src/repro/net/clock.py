@@ -28,10 +28,10 @@ Dispatch merges the two tiers by ``(when, seq)``, so event order — and
 therefore every seed-pinned digest — is bit-identical to a pure-heap
 loop (``tests/chaos/test_timing_wheel.py`` proves the equivalence
 property). One fire kernel, :meth:`EventLoop._drain`, pops and fires
-every event: ``step``, ``run_until``, ``run_until_window`` and
-``run_all`` differ only in the deadline and budget they pass it and in
-what they do with the fired count. The kernel contains the loop, so the
-shared code costs one call frame per drain, not one per event.
+every event: ``step``, ``run_until`` and ``run_all`` differ only in
+the deadline and budget they pass it and in what they do with the fired
+count. The kernel contains the loop, so the shared code costs one call
+frame per drain, not one per event.
 :attr:`EventLoop.pending` is an O(1) counter maintained by
 ``schedule``/``cancel``/dispatch instead of a queue scan.
 
@@ -187,7 +187,7 @@ class EventLoop:
         "now", "_heap", "_seq", "_events_fired", "_live",
         "_cursor", "_wheel_tick", "_wheel_count",
         "_wheel_width", "_wheel_inv", "_wheel_slots", "_wheel_gate",
-        "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback",
+        "_bwhen", "_bseq", "_bobjs", "_dg_drain", "_dg_callback", "_dg_fired",
         "wheel_overflow", "wheel_batched", "wheel_batch_drains",
     )
 
@@ -221,6 +221,8 @@ class EventLoop:
         #: with no network attached (pure-timer loops never see rows).
         self._dg_drain: Any = None
         self._dg_callback: Any = None
+        #: Rows the datagram plane completed in a drain call that raised.
+        self._dg_fired = 0
         #: Cumulative wheel counters, surfaced by :meth:`wheel_stats`.
         self.wheel_overflow = 0
         self.wheel_batched = 0
@@ -252,7 +254,9 @@ class EventLoop:
         must pop and fire consecutive due rows (merging per item against
         the heap top, where it may fire a heap-top entry carrying
         ``callback`` itself, and honouring ``deadline``/``budget``) and
-        return how many it fired. ``callback`` is the representative
+        return how many it fired; when a row raises, it must leave the
+        count of rows completed before it in ``_dg_fired`` for the
+        kernel and re-raise. ``callback`` is the representative
         per-datagram callable — what a heap-resident delivery carries —
         used to synthesize that entry shape for observers, flushes to
         the heap, and :meth:`_iter_queued` (see :meth:`_datagram_entry`).
@@ -512,7 +516,11 @@ class EventLoop:
                 if cursor and (not heap or cursor[-1] < heap[0]):
                     # Zero fired means the cursor minimum lies beyond
                     # the deadline.
-                    n = self._dg_drain(deadline, budget - fired)
+                    try:
+                        n = self._dg_drain(deadline, budget - fired)
+                    except BaseException:
+                        fired += self._dg_fired
+                        raise
                     if n == 0:
                         break
                     fired += n
@@ -556,29 +564,6 @@ class EventLoop:
     def run(self, duration: float) -> None:
         """Advance the clock ``duration`` seconds, firing due events."""
         self.run_until(self.now + duration)
-
-    def run_until_window(self, deadline: float, max_events: int | None = None) -> int:
-        """Fire events up to ``deadline`` under an exact event budget.
-
-        The conservative-PDES window primitive (see ``docs/SHARDING.md``):
-        a shard's coordinator drives the loop one lookahead window at a
-        time, and — unlike :meth:`run_until` — needs both the fired
-        count back (for ``run_all(max_events=N)`` exactness across
-        shards) and a budget that stops dispatch *mid-window* without
-        firing a budget+1-th event. When the budget interrupts the
-        window, ``now`` is **not** advanced to ``deadline`` — due events
-        may remain at or before it, and a later remote arrival inside
-        the window (:meth:`~repro.net.network.ShardNetwork.inject_batches`)
-        must still be legal. A window that completes (``fired < budget``)
-        advances ``now`` to the barrier exactly like :meth:`run_until`.
-        """
-        budget = _MAX_EVENTS if max_events is None else max_events
-        if budget <= 0:
-            return 0
-        fired = self._drain(deadline, budget)
-        if fired < budget:
-            self.now = max(self.now, deadline)
-        return fired
 
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Drain the queue completely (bounded to catch runaway loops).

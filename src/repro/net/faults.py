@@ -383,12 +383,6 @@ class FaultInjector:
         handler = getattr(self, f"_apply_{event.kind}")
         handler(event)
 
-    def _host(self, name: str) -> "Host | None":
-        for host in self.network.hosts.values():
-            if host.name == name:
-                return host
-        return None
-
     def _apply_link_flap(self, event: LinkFlap) -> None:
         key = _pair_key(event.a, event.b)
         blocked = LinkConditions(blocked=True)
@@ -428,7 +422,7 @@ class FaultInjector:
         self._emit("degrade_healed", host=name)
 
     def _apply_host_crash(self, event: HostCrash) -> None:
-        host = self._host(event.host)
+        host = self.network.host_by_name(event.host)
         if host is None:
             self._emit("skipped", host=event.host, detail="unknown host")
             return
@@ -443,7 +437,7 @@ class FaultInjector:
             self._schedule(event.down_for, self._rejoin_host, host.name)
 
     def _rejoin_host(self, name: str) -> None:
-        host = self._host(name)
+        host = self.network.host_by_name(name)
         self._down_hosts.discard(name)
         if host is not None:
             self._down_ips.discard(host.public_ip)
@@ -452,7 +446,7 @@ class FaultInjector:
             self._emit("host_up", host=name)
 
     def _apply_nat_rebind(self, event: NatRebind) -> None:
-        host = self._host(event.host)
+        host = self.network.host_by_name(event.host)
         if host is None or host.nat is None:
             self._emit("skipped", host=event.host, detail="no NAT to rebind")
             return

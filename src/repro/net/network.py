@@ -384,6 +384,13 @@ class Network:
         """
         return ip in self._routable
 
+    def host_by_name(self, name: str) -> Host | None:
+        """The host called ``name``, or ``None`` (a scan: fault events only)."""
+        for host in self.hosts.values():
+            if host.name == name:
+                return host
+        return None
+
     def add_capture(self, capture: TrafficCapture) -> TrafficCapture:
         """Register a traffic capture observing every sent datagram.
 
@@ -624,7 +631,6 @@ class Network:
                 else:
                     cursor.pop()
                     when, _, host, port, payload, src = top
-                fired += 1
                 live += 1
                 in_flight += 1
                 loop.now = when
@@ -664,6 +670,10 @@ class Network:
                         faults = self.faults
                         cursor = loop._cursor
                         heap = loop._heap
+                fired += 1  # once complete, as on the heap path
+        except BaseException:
+            loop._dg_fired = fired
+            raise
         finally:
             loop._live -= live
             self.datagrams_in_flight -= in_flight
@@ -789,6 +799,22 @@ class ShardNetwork(Network):
             ref = RemoteHostRef(f"v{idx}", self.indexed_ip(idx), self.region_of(idx))
             self._remote_refs[idx] = ref
         return ref
+
+    def host_by_name(self, name: str) -> "Host | RemoteHostRef | None":
+        """Viewer ``v{i}`` on any shard, through :meth:`host_ref`; others by scan.
+
+        :attr:`hosts` holds this shard's slice only, and a fault event
+        naming a remote viewer must still apply for its answers to
+        match at any worker count.
+        """
+        if name.startswith("v"):
+            try:
+                idx = int(name[1:])
+            except ValueError:
+                idx = -1
+            if idx >= 0:
+                return self.host_ref(idx)
+        return super().host_by_name(name)
 
     # -- sharded data plane ----------------------------------------------
 

@@ -41,13 +41,15 @@ enforced here and spelled out in ``docs/SHARDING.md``:
    counters and per-shard event counts are diagnostics, never digest
    inputs.
 
-``run_workload`` is the entry point; it picks the multi-process
-coordinator, or an in-process round-robin ("inline") coordinator when
-the run needs a single address space — one worker, an exact
-``max_events`` budget, or an armed event-loop observer (``verify
---sanitize`` and ``--profile`` must see every shard's events in one
+``run_workload`` is the entry point. One barrier loop drives every
+shard, and one command handler serves each :class:`ShardWorker`, in a
+forked worker process or in this one. The shards run in this process
+("inline") when the run needs a single address space — one worker, or
+an armed event-loop observer (``verify --sanitize`` and ``--profile``
+must see every shard's events in one
 :class:`~repro.analysis.sanitizer.DispatchTrace` or
-:class:`~repro.harness.profile.SiteProfiler`).
+:class:`~repro.harness.profile.SiteProfiler`) — and in forked
+processes otherwise.
 """
 
 from __future__ import annotations
@@ -55,18 +57,16 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import math
 import multiprocessing
 import traceback
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from sys import maxsize as _MAX_EVENTS
 
 from repro.net.clock import FIRED_TOTAL, EventLoop
 from repro.net.faults import FaultInjector, FaultPlan, RandomFaultPlanner, load_plan
-from repro.net.network import Host, RemoteHostRef, ShardNetwork
+from repro.net.network import ShardNetwork
 from repro.scenarios.arrivals import FlashCrowdArrivals
 from repro.util.errors import ConfigurationError, ShardWorkerError
 from repro.util.perf import peak_rss_kb
@@ -331,30 +331,6 @@ def build_fault_plan(workload: SwarmWorkload) -> FaultPlan:
     )
 
 
-class ShardFaultInjector(FaultInjector):
-    """A :class:`FaultInjector` that resolves hosts across shard lines.
-
-    The base ``_host`` scans ``network.hosts`` — which on a shard holds
-    only the local slice, so a crash of a remote viewer would be
-    silently skipped and ``host_is_down`` answers would depend on K.
-    Indexed viewer names (``v{i}``) resolve through the shard's
-    directory instead: local indices to their real :class:`Host`,
-    remote ones to a :class:`RemoteHostRef` the fault state machine can
-    mark down, heal and query exactly like a local host.
-    """
-
-    def _host(self, name: str) -> "Host | RemoteHostRef | None":
-        network = self.network
-        if isinstance(network, ShardNetwork) and name.startswith("v"):
-            try:
-                idx = int(name[1:])
-            except ValueError:
-                idx = -1
-            if idx >= 0:
-                return network.host_ref(idx)
-        return super()._host(name)
-
-
 class ShardWorker:
     """One shard: its network slice, traffic program and fault injector."""
 
@@ -395,10 +371,10 @@ class ShardWorker:
             if collecting:
                 gc.enable()
                 gc.collect()
-        self.faults: ShardFaultInjector | None = None
+        self.faults: FaultInjector | None = None
         plan = build_fault_plan(workload)
         if len(plan):
-            self.faults = ShardFaultInjector(self.net, rand.fork("shard-faults"))
+            self.faults = FaultInjector(self.net, rand.fork("shard-faults"))
             self.faults.arm(plan)
         self.program = _shard_program(workload, shard_id, num_shards)
         #: Index of the first program row not yet sent.
@@ -410,8 +386,8 @@ class ShardWorker:
         """Queued loop events plus program sends not yet replayed."""
         return self.loop.pending + len(self.program) - self._next_send
 
-    def run_window(self, barrier: float, max_events: int | None = None) -> int:
-        """Advance this shard to ``barrier``; returns loop events fired.
+    def run_window(self, barrier: float) -> None:
+        """Advance this shard to ``barrier``.
 
         Sends are not loop events: the traffic program's rows due by the
         barrier go straight through
@@ -423,29 +399,21 @@ class ShardWorker:
         before the change are sent, the loop fires the change, and a row
         at exactly its instant goes after it, at any worker count.
         ``docs/SHARDING.md`` explains why this keeps every digest.
-
-        ``max_events`` bounds loop events as in
-        :meth:`EventLoop.run_until_window`; rows past a cut the budget
-        did not reach stay unsent and count in :attr:`pending`.
         """
         loop = self.loop
         occupancy = loop.wheel_occupancy
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        budget = _MAX_EVENTS if max_events is None else max_events
         times = self.program.when
         faults = self.faults
-        fired = 0
-        while fired < budget:
-            change = faults.next_change() if faults is not None else math.inf
-            if change <= barrier:
+        if faults is not None:
+            change = faults.next_change()
+            while change <= barrier:
                 self._replay(bisect_left(times, change, self._next_send))
-                fired += loop.run_until_window(change, budget - fired)
-            else:
-                self._replay(bisect_right(times, barrier, self._next_send))
-                fired += loop.run_until_window(barrier, budget - fired)
-                break
-        return fired
+                loop.run_until(change)
+                change = faults.next_change()
+        self._replay(bisect_right(times, barrier, self._next_send))
+        loop.run_until(barrier)
 
     def _replay(self, end: int) -> None:
         """Send program rows ``[_next_send, end)``, each at its own instant."""
@@ -559,15 +527,6 @@ def _window_cap(workload: SwarmWorkload) -> int:
     return int((workload.horizon * 8.0 + 240.0) / workload.lookahead) + 16
 
 
-def _work_left(shards: list[ShardWorker], inbox: list[list]) -> bool:
-    """Any queued event, unsent row, undelivered batch or unflushed egress row."""
-    if any(shard.pending for shard in shards):
-        return True
-    if any(inbox):
-        return True
-    return any(cols[0] for shard in shards for cols in shard.net._egress)
-
-
 def _merge_reports(
     workload: SwarmWorkload,
     workers: int,
@@ -617,67 +576,68 @@ def _merge_reports(
     )
 
 
-def _run_inline(
-    workload: SwarmWorkload, workers: int, max_events: int | None
-) -> ShardRunReport:
-    """Round-robin the shards in-process, one barrier window at a time.
+def _reply_timeout(workload: SwarmWorkload, workers: int) -> float:
+    """Seconds to wait for one reply: 60 plus 0.2 ms per row of a shard's
+    share of viewers and datagrams.
 
-    Bit-identical to the multi-process coordinator (same barriers, same
-    batch exchange order), which is what lets event-loop observers
-    (DetSan's dispatch trace, ``--profile``) and
-    ``run_all(max_events=N)`` exactness cover sharded runs without
-    crossing a process boundary. The ``max_events`` budget is handed
-    down window by window; exhausting it with work still queued raises
-    the same livelock error :meth:`EventLoop.run_all` would.
+    The first reply (fork, build, window 1) is the longest, ~10 s for a
+    250k-viewer, 500k-datagram shard on 2 shared CPUs: 20x headroom.
     """
-    shards = [ShardWorker(workload, shard, workers) for shard in range(workers)]
-    lookahead = workload.lookahead
-    window_cap = _window_cap(workload)
-    inbox: list[list] = [[] for _ in range(workers)]
-    remaining = max_events
-    windows = 0
-    barrier = 0.0
-    while True:
-        windows += 1
-        if windows > window_cap:
-            raise RuntimeError(
-                f"shard coordinator exceeded {window_cap} windows; likely a livelock"
-            )
-        # Cumulative, not windows * lookahead: each barrier must equal
-        # the previous barrier plus exactly the lookahead float, so a
-        # remote arrival at `send + L` can never round below it.
-        barrier += lookahead
-        for shard in shards:
-            batches = inbox[shard.shard_id]
-            if batches:
-                inbox[shard.shard_id] = []
-                shard.net.inject_batches(batches)
-            if remaining is None:
-                shard.run_window(barrier)
-            else:
-                remaining -= shard.run_window(barrier, remaining)
-                if remaining <= 0 and _work_left(shards, inbox):
-                    raise RuntimeError(
-                        f"event loop exceeded {max_events} events; likely a livelock"
-                    )
-        moved = False
-        for shard in shards:
-            for dst, cols in shard.net.flush_egress().items():
-                inbox[dst].append(cols)
-                moved = True
-        if not moved and not any(shard.pending for shard in shards):
-            break
-    reports = [shard.final_report() for shard in shards]
-    return _merge_reports(workload, workers, "inline", windows, reports)
+    return 60.0 + 2e-4 * (workload.viewers + workload.datagrams) / workers
 
 
-def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: int) -> None:
-    """Child-process loop: build the shard, then serve barrier commands.
+def _serve(worker: ShardWorker, message: tuple) -> tuple:
+    """The ``("ok", ...)`` reply to one command, for a shard hosted anywhere.
 
-    Every command gets one reply frame: ``("ok", ...)`` with its result,
-    or ``("error", window, barrier, traceback)`` when building the shard
-    or serving the command raised, after which the worker exits.
+    ``("run", barrier, batches)`` injects the batches, runs the window
+    and replies with the egress and pending work; ``("finish",)``
+    replies with the final report.
     """
+    if message[0] == "finish":
+        return ("ok", worker.final_report())
+    _, barrier, batches = message
+    if batches:
+        worker.net.inject_batches(batches)
+    worker.run_window(barrier)
+    return ("ok", worker.net.flush_egress(), worker.pending)
+
+
+class _LocalPipe:
+    """A shard in this process, behind a worker pipe's send/poll/recv.
+
+    ``poll`` serves the command ``send`` left, so the shards run in
+    shard order and a shard's exception reaches the caller unchanged.
+    """
+
+    def __init__(self, worker: ShardWorker) -> None:
+        self.worker = worker
+        self.message: tuple = ()
+        self.frame: tuple = ()
+
+    def send(self, message: tuple) -> None:
+        self.message = message
+
+    def poll(self, timeout: float) -> bool:
+        self.frame = _serve(self.worker, self.message)
+        return True
+
+    def recv(self) -> tuple:
+        return self.frame
+
+
+def _shard_worker_main(
+    conn, parent_ends: tuple, workload: SwarmWorkload, shard_id: int, workers: int
+) -> None:
+    """Child-process loop: build the shard, then serve commands until EOF.
+
+    Every command gets one reply frame: :func:`_serve`'s, or ``("error",
+    window, barrier, traceback)`` when building the shard or serving the
+    command raised, after which the worker exits. The coordinator's
+    pipe ends a fork inherits are closed first, so that closing them in
+    the coordinator is an end-of-file every idle worker sees.
+    """
+    for end in parent_ends:
+        end.close()
     window = 0
     barrier = 0.0
     try:
@@ -687,18 +647,10 @@ def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: in
                 message = conn.recv()
             except EOFError:
                 break
-            op = message[0]
-            if op == "run":
-                _, barrier, batches = message
+            if message[0] == "run":
                 window += 1
-                if batches:
-                    worker.net.inject_batches(batches)
-                worker.run_window(barrier)
-                conn.send(("ok", worker.net.flush_egress(), worker.pending))
-            elif op == "finish":
-                conn.send(("ok", worker.final_report()))
-            else:  # "exit"
-                break
+                barrier = message[1]
+            conn.send(_serve(worker, message))
     except Exception:
         try:
             conn.send(("error", window, barrier, traceback.format_exc()))
@@ -708,13 +660,18 @@ def _shard_worker_main(conn, workload: SwarmWorkload, shard_id: int, workers: in
         conn.close()
 
 
-def _reply(conn, proc, shard: int, window: int, barrier: float) -> tuple:
-    """The payload of one worker's reply frame.
+def _reply(conn, proc, shard: int, window: int, barrier: float, timeout: float) -> tuple:
+    """The payload of one shard's reply frame; the one place replies are read.
 
-    Raises :class:`ShardWorkerError` for an error frame, carrying the
-    worker's window, barrier and traceback, and for a worker that closed
-    its pipe without replying, carrying its exit code.
+    Raises :class:`ShardWorkerError` for an error frame (the worker's
+    window, barrier and traceback), a worker that closed its pipe
+    without replying (its exit code), or one that sent nothing within
+    ``timeout`` seconds (terminated). ``proc`` is ``None`` for a
+    :class:`_LocalPipe`, whose reply is always ready.
     """
+    if not conn.poll(timeout):
+        proc.terminate()
+        raise ShardWorkerError(shard, window, barrier, f"no reply within {timeout:g} s")
     try:
         frame = conn.recv()
     except (EOFError, OSError):
@@ -737,10 +694,62 @@ def _command(conn, message: tuple) -> None:
         pass
 
 
-def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
-    """Drive one worker process per shard through the window protocol.
+def _run_windows(
+    workload: SwarmWorkload, conns: list, procs: list, mode: str
+) -> ShardRunReport:
+    """The barrier loop: drive every shard through the window protocol.
 
-    A worker that raises, or dies without replying, stops the run with
+    Each round sends every shard ``("run", barrier, batches)`` before
+    reading any reply, files each shard's egress into the next round's
+    batches, and stops once no batch moved and no shard has work left.
+    """
+    workers = len(conns)
+    timeout = _reply_timeout(workload, workers)
+    lookahead = workload.lookahead
+    window_cap = _window_cap(workload)
+    inbox: list[list] = [[] for _ in range(workers)]
+    windows = 0
+    barrier = 0.0
+    while True:
+        windows += 1
+        if windows > window_cap:
+            raise RuntimeError(
+                f"shard coordinator exceeded {window_cap} windows; likely a livelock"
+            )
+        # Cumulative, not windows * lookahead: each barrier must equal
+        # the previous barrier plus exactly the lookahead float, so a
+        # remote arrival at `send + L` can never round below it.
+        barrier += lookahead
+        for shard, conn in enumerate(conns):
+            _command(conn, ("run", barrier, inbox[shard]))
+            inbox[shard] = []
+        moved = False
+        total_pending = 0
+        for shard, conn in enumerate(conns):
+            egress, pending = _reply(conn, procs[shard], shard, windows, barrier, timeout)
+            total_pending += pending
+            # dict preserves insertion order and shards flush their
+            # egress ascending, so each inbox accumulates batches in
+            # source-shard order — the order inject_batches' stable
+            # sort preserves for equal delivery times.
+            for dst, cols in egress.items():
+                inbox[dst].append(cols)
+                moved = True
+        if not moved and total_pending == 0:
+            break
+    for conn in conns:
+        _command(conn, ("finish",))
+    reports = [
+        _reply(conn, procs[shard], shard, windows, barrier, timeout)[0]
+        for shard, conn in enumerate(conns)
+    ]
+    return _merge_reports(workload, workers, mode, windows, reports)
+
+
+def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
+    """Run one forked worker process per shard through the barrier loop.
+
+    A worker that raises, dies or stops replying stops the run with
     :class:`ShardWorkerError`; every worker is joined, or terminated,
     before this returns or raises. The workers' event counts are added
     to :data:`~repro.net.clock.FIRED_TOTAL`, which their own loops
@@ -752,54 +761,19 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
         context = multiprocessing.get_context("spawn")
     conns = []
     procs = []
-    reports: list[dict] = []
     try:
         for shard in range(workers):
             parent_conn, child_conn = context.Pipe()
+            conns.append(parent_conn)
             proc = context.Process(
                 target=_shard_worker_main,
-                args=(child_conn, workload, shard, workers),
+                args=(child_conn, tuple(conns), workload, shard, workers),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
-            conns.append(parent_conn)
             procs.append(proc)
-        lookahead = workload.lookahead
-        window_cap = _window_cap(workload)
-        inbox: list[list] = [[] for _ in range(workers)]
-        windows = 0
-        barrier = 0.0
-        while True:
-            windows += 1
-            if windows > window_cap:
-                raise RuntimeError(
-                    f"shard coordinator exceeded {window_cap} windows; likely a livelock"
-                )
-            barrier += lookahead  # cumulative: see _run_inline
-            for shard, conn in enumerate(conns):
-                _command(conn, ("run", barrier, inbox[shard]))
-                inbox[shard] = []
-            moved = False
-            total_pending = 0
-            for shard, conn in enumerate(conns):
-                egress, pending = _reply(conn, procs[shard], shard, windows, barrier)
-                total_pending += pending
-                # dict preserves insertion order and workers flush
-                # shards ascending, so each inbox accumulates batches in
-                # source-shard order — the order inject_batches' stable
-                # sort preserves for equal delivery times.
-                for dst, cols in egress.items():
-                    inbox[dst].append(cols)
-                    moved = True
-            if not moved and total_pending == 0:
-                break
-        for conn in conns:
-            _command(conn, ("finish",))
-        for shard, conn in enumerate(conns):
-            reports.append(_reply(conn, procs[shard], shard, windows, barrier)[0])
-        for conn in conns:
-            _command(conn, ("exit",))
+        report = _run_windows(workload, conns, procs, "process")
     finally:
         for conn in conns:
             try:
@@ -811,37 +785,22 @@ def _run_processes(workload: SwarmWorkload, workers: int) -> ShardRunReport:
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=5)
-    FIRED_TOTAL[0] += sum(report["events_fired"] for report in reports)  # repro: allow[SHARD001] harness-owned observability, not sim state
-    return _merge_reports(workload, workers, "process", windows, reports)
+    FIRED_TOTAL[0] += report.events_fired  # repro: allow[SHARD001] harness-owned observability, not sim state
+    return report
 
 
-def run_workload(
-    workload: SwarmWorkload,
-    workers: int = 1,
-    *,
-    max_events: int | None = None,
-    inline: bool | None = None,
-) -> ShardRunReport:
+def run_workload(workload: SwarmWorkload, workers: int = 1) -> ShardRunReport:
     """Run ``workload`` across ``workers`` shards; digest is K-invariant.
 
     ``workers`` clamps to ``[1, len(regions)]`` (a shard with no region
-    would idle forever). ``inline=None`` auto-selects: multi-process
-    when parallelism can pay, in-process round-robin when the run needs
-    one address space — a single worker, an exact ``max_events`` budget,
-    or an armed event-loop observer (``verify --sanitize``,
-    ``--profile``), which could not see a worker process's loop.
+    would idle forever). The shards run in forked worker processes,
+    or in this process ("inline") for a single worker or while an
+    event-loop observer is armed (``verify --sanitize``,
+    ``--profile``), since an observer cannot see a worker process's
+    loop.
     """
     workers = max(1, min(workers, len(workload.regions)))
-    if inline is None:
-        inline = (
-            workers == 1
-            or max_events is not None
-            or bool(EventLoop._observers)
-        )
-    if not inline and max_events is not None:
-        raise ConfigurationError(
-            "max_events needs the inline coordinator (one address space)"
-        )
-    if inline:
-        return _run_inline(workload, workers, max_events)
-    return _run_processes(workload, workers)
+    if workers > 1 and not EventLoop._observers:
+        return _run_processes(workload, workers)
+    conns = [_LocalPipe(ShardWorker(workload, shard, workers)) for shard in range(workers)]
+    return _run_windows(workload, conns, [None] * workers, "inline")

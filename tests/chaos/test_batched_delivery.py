@@ -21,6 +21,7 @@ import repro.experiments  # noqa: F401  - triggers @experiment registration
 from repro.harness import registry
 from repro.harness.runner import execute_spec
 from repro.net.addresses import Endpoint
+from repro.net.clock import FIRED_TOTAL
 from repro.net.network import Network
 from repro.util.rand import DeterministicRandom
 
@@ -123,6 +124,31 @@ class TestDrainMechanics:
         assert net.loop.pending == 3
         net.loop.run_all()
         assert net.datagrams_delivered == 6
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "heap"])
+    def test_a_raising_handler_leaves_earlier_deliveries_counted(self, batched):
+        net, a, b, sock, pads = one_host_net()
+        if not batched:
+            net.loop.configure_wheel(None, 0)
+        calls = []
+
+        def handler(payload, src, s):
+            calls.append(payload)
+            if len(calls) == 3:
+                raise ValueError("third delivery")
+
+        sock.handler = handler
+        for i in range(5):
+            net.send_datagram(a, TRAFFIC_PORT, Endpoint(b.ip, TRAFFIC_PORT), bytes([i]))
+        assert net.loop.wheel_batched == (5 if batched else 0)
+        before = FIRED_TOTAL[0]
+        with pytest.raises(ValueError, match="third delivery"):
+            net.loop.run_until(1.0)
+        # Two deliveries completed; the one whose handler raised does
+        # not count, on either tier.
+        assert len(calls) == 3
+        assert net.loop.events_fired == 2
+        assert FIRED_TOTAL[0] - before == 2
 
     def test_heap_event_interleaves_into_a_batched_run(self):
         """A heap timer due mid-run fires between two same-bucket rows."""

@@ -4,24 +4,25 @@ The whole design of :mod:`repro.net.shard` reduces to one testable
 claim: the digest of a :class:`SwarmWorkload` run is a function of the
 workload alone, never of how many shards computed it or whether they
 shared an address space. These tests pin that claim at seed 2024 across
-calm and chaos-mix plans, across the inline and multi-process
-coordinators, and at the protocol's edges — arrivals landing exactly on
+calm and chaos-mix plans, with the shards in forked workers and in
+this process, and at the protocol's edges — arrivals landing exactly on
 a window barrier, hosts crashing with cross-shard traffic in flight,
-and ``max_events`` budgets that must stay exact under sharding.
+and workers that raise, die or stop replying.
 """
 
 import gc
 import multiprocessing
 import os
 import signal
+import time
 from array import array
 
 import pytest
 
-from repro.harness.profile import WheelStats
-from repro.net.clock import EventLoop
+from repro.harness.profile import WheelStats, capture_events
+from repro.net import shard as shard_module
 from repro.net.faults import FaultPlan, HostCrash
-from repro.net.network import ShardNetwork
+from repro.net.network import Host, RemoteHostRef, ShardNetwork
 from repro.net.shard import (
     DEFAULT_REGIONS,
     ShardWorker,
@@ -55,6 +56,10 @@ class TestDigestInvariance:
         for report in reports:
             assert report.conservation_ok
             assert report.totals["sent"] == SMALL["datagrams"]
+        if faults == "calm":
+            # Every shard applies the whole fault plan, so only a calm
+            # run fires the same number of events at any worker count.
+            assert len({report.events_fired for report in reports}) == 1
 
     def test_chaos_actually_dropped_something(self):
         report = run_at(2, faults="chaos-mix")
@@ -69,12 +74,18 @@ class TestDigestInvariance:
     def test_seed_changes_digest(self):
         assert run_at(2).digest != run_at(2, seed=2025).digest
 
-    def test_process_mode_matches_inline(self):
-        inline = run_workload(SwarmWorkload(**SMALL), 2, inline=True)
-        forked = run_workload(SwarmWorkload(**SMALL), 2, inline=False)
+    @pytest.mark.parametrize("faults", ["calm", "chaos-mix"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_process_mode_matches_inline(self, workers, faults):
+        workload = SwarmWorkload(**SMALL, faults=faults)
+        forked = run_workload(workload, workers)
+        # An armed observer keeps the shards in this process.
+        with capture_events(lambda loop, entry: None):
+            inline = run_workload(workload, workers)
         assert inline.mode == "inline" and forked.mode == "process"
         assert forked.digest == inline.digest
         assert forked.totals == inline.totals
+        assert forked.events_fired == inline.events_fired
 
     def test_single_worker_auto_inline(self):
         report = run_at(1)
@@ -94,12 +105,12 @@ class TestWindowEdges:
         loop = net.loop
         fired = []
         net.add_indexed_host(0).bind_udp(4000, handler=lambda *_: fired.append(loop.now))
-        loop.run_until_window(0.116)
+        loop.run_until(0.116)
         assert loop.now == 0.116
         cols = (array("d", [0.116]), array("q", [0]), array("q", [1]))  # exactly at the barrier
         assert net.inject_batches([cols]) == 1
         assert fired == []  # delivered in the next window, not this one
-        loop.run_until_window(0.232)
+        loop.run_until(0.232)
         assert fired == [0.116]
         assert loop.now == 0.232
 
@@ -109,7 +120,7 @@ class TestWindowEdges:
         # whole injection before anything is enqueued.
         net = ShardNetwork(0, 2, DEFAULT_REGIONS, rand=DeterministicRandom(7))
         net.add_indexed_host(0).bind_udp(4000)
-        net.loop.run_until_window(0.116)
+        net.loop.run_until(0.116)
         on_time = (array("d", [0.2]), array("q", [0]), array("q", [1]))
         stale = (array("d", [0.1]), array("q", [0]), array("q", [3]))
         with pytest.raises(ConfigurationError, match="window protocol"):
@@ -117,23 +128,10 @@ class TestWindowEdges:
         assert net.loop.pending == 0
         assert net.datagrams_in_flight == 0
 
-    def test_run_until_window_budget_is_exact(self):
-        loop = EventLoop()
-        fired = []
-        for when in (0.01, 0.02, 0.03):
-            loop.schedule(when, fired.append, when)
-        assert loop.run_until_window(0.1, max_events=2) == 2
-        # Interrupted by the budget: the clock must not jump to the
-        # deadline past the still-pending third event.
-        assert loop.now < 0.1
-        assert loop.run_until_window(0.1) == 1
-        assert fired == [0.01, 0.02, 0.03]
-        assert loop.now == 0.1
-
     def test_stale_batch_rejected_by_inject_batches(self):
         net = ShardNetwork(0, 2, DEFAULT_REGIONS, rand=DeterministicRandom(7))
         net.add_indexed_host(0).bind_udp(4000)
-        net.loop.run_until_window(1.0)
+        net.loop.run_until(1.0)
         cols = (array("d", [0.5]), array("q", [0]), array("q", [1]))
         with pytest.raises(ConfigurationError, match="window protocol"):
             net.inject_batches([cols])
@@ -174,6 +172,20 @@ class TestCrashWithInFlightTraffic:
         for report in reports:
             assert report.conservation_ok
             assert report.drops_by_reason.get("host_down", 0) >= 1
+
+    def test_viewer_names_resolve_across_shards(self):
+        net = ShardNetwork(0, 2, DEFAULT_REGIONS, rand=DeterministicRandom(7))
+        local = net.add_indexed_host(0)
+        seeder = net.add_host("seeder", ip="9.9.9.9")
+        assert isinstance(local, Host) and net.host_by_name("v0") is local
+        # Viewer 1 lives on shard 1: a stand-in the fault layer can mark down.
+        remote = net.host_by_name("v1")
+        assert isinstance(remote, RemoteHostRef)
+        assert (remote.name, remote.ip) == ("v1", net.indexed_ip(1))
+        assert net.host_by_name("v1") is remote
+        # Any other name is found by scanning the shard's own hosts.
+        assert net.host_by_name("seeder") is seeder
+        assert net.host_by_name("vip") is None
 
     def test_every_shard_applies_the_whole_plan(self, plan_path):
         report = run_at(4, faults=plan_path, locality=0.5)
@@ -277,14 +289,14 @@ class TestWorkerFailures:
     def test_raising_window_names_shard_window_and_traceback(self, monkeypatch):
         real = ShardWorker.run_window
 
-        def failing(self, barrier, max_events=None):
+        def failing(self, barrier):
             if self.shard_id == 1 and barrier > 0.3:
                 raise ValueError("injected window failure")
-            return real(self, barrier, max_events)
+            return real(self, barrier)
 
         monkeypatch.setattr(ShardWorker, "run_window", failing)
         with pytest.raises(ShardWorkerError) as caught:
-            run_workload(SwarmWorkload(**SMALL), 2, inline=False)
+            run_workload(SwarmWorkload(**SMALL), 2)
         error = caught.value
         assert (error.shard, error.window) == (1, 3)
         assert error.barrier == pytest.approx(3 * SwarmWorkload(**SMALL).lookahead)
@@ -297,48 +309,38 @@ class TestWorkerFailures:
     def test_killed_worker_is_reported_with_its_exit_code(self, monkeypatch):
         real = ShardWorker.run_window
 
-        def killed(self, barrier, max_events=None):
+        def killed(self, barrier):
             if self.shard_id == 0 and barrier > 0.2:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(self, barrier, max_events)
+            return real(self, barrier)
 
         monkeypatch.setattr(ShardWorker, "run_window", killed)
         with pytest.raises(ShardWorkerError) as caught:
-            run_workload(SwarmWorkload(**SMALL), 2, inline=False)
+            run_workload(SwarmWorkload(**SMALL), 2)
         error = caught.value
         assert (error.shard, error.window) == (0, 2)
         assert f"exited with code {-signal.SIGKILL} without replying" in str(error)
         assert multiprocessing.active_children() == []
 
+    def test_hung_worker_is_terminated_at_the_reply_deadline(self, monkeypatch):
+        real = ShardWorker.run_window
 
-class TestMaxEventsExactness:
-    """``max_events=N`` must mean exactly N, at any worker count.
+        def hung(self, barrier):
+            if self.shard_id == 1 and barrier > 0.3:
+                time.sleep(600)
+            return real(self, barrier)
 
-    Calm plans only: fault events re-apply on every shard (that is the
-    invariance rule), so chaos event *counts* are K-dependent even
-    though the digest is not.
-    """
-
-    @pytest.fixture(scope="class")
-    def exact_total(self):
-        return run_at(1).events_fired
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_exact_budget_completes(self, exact_total, workers):
-        workload = SwarmWorkload(**SMALL)
-        report = run_workload(workload, workers, max_events=exact_total)
-        assert report.events_fired == exact_total
-        assert report.conservation_ok
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_less_raises_the_livelock_error(self, exact_total, workers):
-        workload = SwarmWorkload(**SMALL)
-        with pytest.raises(RuntimeError, match=f"exceeded {exact_total - 1} events"):
-            run_workload(workload, workers, max_events=exact_total - 1)
-
-    def test_budget_requires_inline_coordinator(self):
-        with pytest.raises(ConfigurationError, match="inline"):
-            run_workload(SwarmWorkload(**SMALL), 2, max_events=10, inline=False)
+        monkeypatch.setattr(ShardWorker, "run_window", hung)
+        monkeypatch.setattr(shard_module, "_reply_timeout", lambda workload, workers: 1.0)
+        started = time.monotonic()
+        with pytest.raises(ShardWorkerError) as caught:
+            run_workload(SwarmWorkload(**SMALL), 2)
+        assert time.monotonic() - started < 10
+        error = caught.value
+        assert (error.shard, error.window) == (1, 3)
+        assert error.barrier == pytest.approx(3 * SwarmWorkload(**SMALL).lookahead)
+        assert "no reply within 1 s" in str(error)
+        assert multiprocessing.active_children() == []
 
 
 class TestShardStats:
