@@ -25,12 +25,12 @@ class Certificate:
 
     @classmethod
     def generate(cls, rand: DeterministicRandom, subject: str) -> "Certificate":
-        """Generate."""
+        """A certificate for ``subject`` with a fresh 32-byte secret drawn from ``rand``."""
         return cls(subject=subject, secret=rand.bytes(32))
 
     @property
     def public_key(self) -> bytes:
-        """Public key."""
+        """The value peers see and fingerprint: SHA-256 of ``b"pub:" + secret``."""
         return hashlib.sha256(b"pub:" + self.secret).digest()
 
     @property
@@ -41,6 +41,6 @@ class Certificate:
 
     @staticmethod
     def fingerprint_of(public_key: bytes) -> str:
-        """Fingerprint of."""
+        """The SDP ``sha-256 AA:BB:...`` fingerprint of a received public value."""
         digest = hashlib.sha256(public_key).hexdigest().upper()
         return "sha-256 " + ":".join(digest[i : i + 2] for i in range(0, len(digest), 2))

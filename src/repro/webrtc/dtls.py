@@ -8,13 +8,15 @@ observe or depend on:
   STUN exactly like Wireshark does;
 - a certificate exchange verified against the fingerprint signaled in
   the SDP — a fingerprint mismatch aborts the handshake;
-- an encrypted, MAC-authenticated application-data epoch, so on-path
-  tampering with peer-to-peer segments is detected (which is *why* the
-  paper's pollution attack must inject before encryption, at the fake
-  CDN).
+- a MAC-authenticated application-data epoch (HMAC-SHA256 over
+  ``seq || ciphertext``, truncated to 16 bytes), so on-path tampering
+  with peer-to-peer segments is detected (which is *why* the paper's
+  pollution attack must inject before encryption, at the fake CDN).
 
-The key schedule itself is a simulation (`SHA-256` over public values
-and nonces) — it models the flow, not the cryptographic strength.
+No plaintext crosses the wire: each direction scrambles its records
+through a byte-substitution table drawn from its write key. Like the
+key schedule (`SHA-256` over public values and nonces), that models
+the flow, not the cryptographic strength.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ CONTENT_APPDATA = 23
 
 _RECORD_HEADER = struct.Struct("!BHHQH")  # type, version, epoch, seq, length
 _MAC_LEN = 16
+_MAX_APPDATA = 0xFFFF - _MAC_LEN  # the sealed record must fit the 16-bit length
 _HANDSHAKE_RETRANSMIT = 0.5
 _MAX_RETRANSMITS = 6
 
@@ -68,24 +71,14 @@ def _decode_record(data: bytes) -> tuple[int, int, int, bytes]:
     return content_type, epoch, seq, payload
 
 
-def _keystream(key: bytes, seq: int, length: int) -> bytes:
-    """Per-record keystream: one HMAC-derived block, tiled to length.
-
-    (A real cipher derives fresh blocks per counter; tiling one block
-    keeps the simulation tamper-evident — the MAC does the real work —
-    at C speed for multi-megabyte segment transfers.)
-    """
-    if length == 0:
-        return b""
-    block = hmac.new(key, struct.pack("!Q", seq), hashlib.sha256).digest()
-    return (block * (length // len(block) + 1))[:length]
+def _substitution(key: bytes) -> bytes:
+    """A byte permutation drawn from ``key``: the ``bytes.translate`` table."""
+    return bytes(sorted(range(256), key=hashlib.shake_256(key).digest(256).__getitem__))
 
 
-def _xor(data: bytes, pad: bytes) -> bytes:
-    """Constant-time-ish XOR via big-int ops (C speed, no Python loop)."""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(pad[: len(data)], "big")
-    ).to_bytes(len(data), "big")
+def _record_mac(key: bytes, seq: int, ciphertext: bytes) -> bytes:
+    """HMAC-SHA256 over ``seq || ciphertext``, truncated to 16 bytes."""
+    return hmac.digest(key, struct.pack("!Q", seq) + ciphertext, "sha256")[:_MAC_LEN]
 
 
 class DtlsSession:
@@ -129,6 +122,8 @@ class DtlsSession:
         self._handshake_seq = 0
         self._write_key: bytes | None = None
         self._read_key: bytes | None = None
+        self._seal_table: bytes | None = None
+        self._open_table: bytes | None = None
         self._last_flight: list[bytes] = []
         self._retransmits = 0
         self._retransmit_timer = None
@@ -201,6 +196,10 @@ class DtlsSession:
             self._write_key, self._read_key = client_key, server_key
         else:
             self._write_key, self._read_key = server_key, client_key
+        # Each table comes from its own direction's key alone, so this
+        # end's seal table is the peer's open table inverted.
+        self._seal_table = _substitution(self._write_key)
+        self._open_table = bytes.maketrans(_substitution(self._read_key), bytes(range(256)))
 
     def _transcript(self) -> bytes:
         """Canonical handshake transcript: client random then server random."""
@@ -227,7 +226,12 @@ class DtlsSession:
     # -- inbound ------------------------------------------------------------
 
     def handle_datagram(self, data: bytes) -> None:
-        """Handle datagram."""
+        """Process one inbound datagram: a handshake flight or an application record.
+
+        A datagram that does not parse as a record fails the session; an
+        application record that fails its MAC is counted in
+        ``auth_failures``, reported to ``on_error`` and dropped.
+        """
         if self.failed:
             return
         try:
@@ -314,32 +318,35 @@ class DtlsSession:
     # -- application data -----------------------------------------------------
 
     def send_application(self, payload: bytes) -> None:
-        """Send application."""
-        if not self.established or self._write_key is None:
+        """Seal ``payload`` into one application record and send it.
+
+        Raises :class:`DtlsRecordError` before the handshake completes or
+        when the sealed record would overflow the 16-bit length field;
+        either way no sequence number is used and nothing is counted.
+        """
+        if not self.established or self._seal_table is None:
             raise DtlsRecordError("cannot send application data before handshake completes")
+        if len(payload) > _MAX_APPDATA:
+            raise DtlsRecordError(
+                f"payload of {len(payload)} bytes exceeds the {_MAX_APPDATA}-byte record limit"
+            )
         seq = self._next_seq()
-        ciphertext = _xor(payload, _keystream(self._write_key, seq, len(payload)))
-        mac = hmac.new(self._write_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256).digest()[
-            :_MAC_LEN
-        ]
+        ciphertext = payload.translate(self._seal_table)
+        mac = _record_mac(self._write_key, seq, ciphertext)
         self.records_sent += 1
         self._send_raw(_encode_record(CONTENT_APPDATA, 1, seq, ciphertext + mac))
 
     def _handle_appdata(self, seq: int, payload: bytes) -> None:
-        if not self.established or self._read_key is None:
+        if not self.established or self._open_table is None:
             return  # app data racing the final flight; sender will retransmit
         if len(payload) < _MAC_LEN:
             self._fail(DtlsRecordError("application record too short"))
             return
         ciphertext, mac = payload[:-_MAC_LEN], payload[-_MAC_LEN:]
-        expected = hmac.new(
-            self._read_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256
-        ).digest()[:_MAC_LEN]
-        if not hmac.compare_digest(mac, expected):
+        if not hmac.compare_digest(mac, _record_mac(self._read_key, seq, ciphertext)):
             self.auth_failures += 1
             if self.on_error is not None:
                 self.on_error(DtlsRecordError("record MAC verification failed"))
             return
-        plaintext = _xor(ciphertext, _keystream(self._read_key, seq, len(ciphertext)))
         if self.on_data is not None:
-            self.on_data(plaintext)
+            self.on_data(ciphertext.translate(self._open_table))

@@ -35,7 +35,8 @@ _MAX_CHECK_SENDS = 4
 
 
 class CandidateType(enum.Enum):
-    """CandidateType."""
+    """How a candidate address was learned: local interface, STUN reflection or TURN relay."""
+
     HOST = "host"
     SRFLX = "srflx"  # server-reflexive (public address learned via STUN)
     RELAY = "relay"  # TURN-relayed
@@ -55,12 +56,12 @@ class IceCandidate:
 
     @classmethod
     def make(cls, cand_type: CandidateType, endpoint: Endpoint, component: int = 1) -> "IceCandidate":
-        """Make."""
+        """A candidate with its RFC 8445 priority and a type-plus-IP foundation."""
         priority = (_TYPE_PREFERENCE[cand_type] << 24) | (65535 << 8) | (256 - component)
         return cls(cand_type, endpoint, priority, f"{cand_type.value}:{endpoint.ip}")
 
     def to_dict(self) -> dict:
-        """To dict."""
+        """The candidate as it travels in signaling: type, ip, port, priority, foundation."""
         return {
             "type": self.cand_type.value,
             "ip": self.endpoint.ip,
@@ -71,7 +72,7 @@ class IceCandidate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IceCandidate":
-        """From dict."""
+        """Rebuild a candidate from its :meth:`to_dict` form."""
         return cls(
             CandidateType(data["type"]),
             Endpoint(data["ip"], data["port"]),
@@ -176,7 +177,7 @@ class IceAgent:
     # -- connectivity checks -------------------------------------------------
 
     def set_remote(self, candidates: list[IceCandidate], ufrag: str, pwd: str) -> None:
-        """Set remote."""
+        """Store the peer's candidates, highest priority first, and its ICE credentials."""
         self.remote_candidates = sorted(candidates, key=lambda c: -c.priority)
         self.remote_ufrag = ufrag
         self.remote_pwd = pwd

@@ -50,7 +50,7 @@ class SessionDescription:
     candidates: list[IceCandidate]
 
     def to_dict(self) -> dict:
-        """To dict."""
+        """The description as it travels over signaling, candidates included."""
         return {
             "kind": self.kind,
             "ufrag": self.ufrag,
@@ -61,7 +61,7 @@ class SessionDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionDescription":
-        """From dict."""
+        """Rebuild a description received over signaling (inverse of :meth:`to_dict`)."""
         return cls(
             kind=data["kind"],
             ufrag=data["ufrag"],
@@ -182,7 +182,7 @@ class PeerConnection:
         self._create_dtls(role="server", expected_fingerprint=offer.fingerprint)
 
         def after_gather() -> None:
-            """After gather."""
+            """Wait for the offerer's nomination, then hand back the answer."""
             self.ice.wait_nominated(self._on_ice_nominated)
             on_ready(self._local_description("answer"))
 
@@ -202,7 +202,7 @@ class PeerConnection:
         if self.turn_client is not None and self.turn_client.relayed_endpoint is None:
 
             def on_allocated(relayed: Endpoint) -> None:
-                """On allocated."""
+                """Give ICE the relayed address to gather as a candidate, then proceed."""
                 self.ice.relay_endpoint = relayed
                 self.ice.gather(lambda _candidates: proceed())
 

@@ -33,7 +33,8 @@ class StunMethod(enum.IntEnum):
 
 
 class StunClass(enum.IntEnum):
-    """StunClass."""
+    """The class bits of a message type: request, indication, success or error response."""
+
     REQUEST = 0b00
     INDICATION = 0b01
     SUCCESS = 0b10
@@ -41,7 +42,8 @@ class StunClass(enum.IntEnum):
 
 
 class AttributeType(enum.IntEnum):
-    """AttributeType."""
+    """Attribute type codes the stack reads or writes (RFC 5389, RFC 5766, RFC 8445)."""
+
     MAPPED_ADDRESS = 0x0001
     USERNAME = 0x0006
     MESSAGE_INTEGRITY = 0x0008
@@ -75,36 +77,36 @@ class StunMessage:
     attributes: list[StunAttribute] = field(default_factory=list)
 
     def attr(self, attr_type: int) -> bytes | None:
-        """Attr."""
+        """The value of the first attribute of ``attr_type``, or ``None`` if absent."""
         for attribute in self.attributes:
             if attribute.attr_type == attr_type:
                 return attribute.value
         return None
 
     def add(self, attr_type: int, value: bytes) -> "StunMessage":
-        """Add."""
+        """Append one attribute; returns the message so calls chain."""
         self.attributes.append(StunAttribute(attr_type, value))
         return self
 
     # -- typed attribute helpers ----------------------------------------
 
     def xor_mapped_address(self) -> Endpoint | None:
-        """Xor mapped address."""
+        """The sender's address as the STUN server saw it, or ``None``."""
         raw = self.attr(AttributeType.XOR_MAPPED_ADDRESS)
         return decode_xor_address(raw, self.transaction_id) if raw else None
 
     def xor_relayed_address(self) -> Endpoint | None:
-        """Xor relayed address."""
+        """The relayed address a TURN server allocated, or ``None``."""
         raw = self.attr(AttributeType.XOR_RELAYED_ADDRESS)
         return decode_xor_address(raw, self.transaction_id) if raw else None
 
     def xor_peer_address(self) -> Endpoint | None:
-        """Xor peer address."""
+        """The peer a TURN Send or Data indication is for or from, or ``None``."""
         raw = self.attr(AttributeType.XOR_PEER_ADDRESS)
         return decode_xor_address(raw, self.transaction_id) if raw else None
 
     def username(self) -> str | None:
-        """Username."""
+        """The USERNAME attribute as text (ICE sends ``remote:local`` ufrags), or ``None``."""
         raw = self.attr(AttributeType.USERNAME)
         return raw.decode("utf-8") if raw is not None else None
 
@@ -140,7 +142,10 @@ def encode_xor_address(endpoint: Endpoint, transaction_id: bytes) -> bytes:
 
 
 def decode_xor_address(value: bytes, transaction_id: bytes) -> Endpoint:
-    """Decode xor address."""
+    """Undo the magic-cookie XOR of an IPv4 XOR-*-ADDRESS value.
+
+    Raises :class:`StunDecodeError` on a bad length or a non-IPv4 family.
+    """
     if len(value) != 8:
         raise StunDecodeError(f"bad XOR address length {len(value)}")
     _, family, xport, xaddr = struct.unpack("!BBHI", value)
@@ -253,7 +258,7 @@ class StunServer:
 
     @property
     def endpoint(self) -> Endpoint:
-        """Endpoint."""
+        """The public address clients send binding requests to."""
         return Endpoint(self.host.public_ip, self.socket.port)
 
     def _on_datagram(self, data: bytes, src: Endpoint, sock: UdpSocket) -> None:

@@ -43,7 +43,7 @@ class TurnServer:
 
     @property
     def endpoint(self) -> Endpoint:
-        """Endpoint."""
+        """The public control address for Allocate requests and Send indications."""
         return Endpoint(self.host.public_ip, self.socket.port)
 
     # -- control plane -----------------------------------------------------
@@ -118,14 +118,14 @@ class TurnClient:
         self.bytes_via_relay = 0
 
     def allocate(self, on_allocated: Callable[[Endpoint], None]) -> None:
-        """Allocate."""
+        """Request a relayed address; ``on_allocated(relayed)`` runs when it is granted."""
         self._on_allocated = on_allocated
         self._allocate_txn = self.rand.bytes(12)
         request = StunMessage(StunMethod.ALLOCATE, StunClass.REQUEST, self._allocate_txn)
         self._raw_send(self.server, encode_stun(request))
 
     def send_via_relay(self, peer: Endpoint, payload: bytes) -> None:
-        """Send via relay."""
+        """Send ``payload`` to ``peer`` from the relayed address, via a Send indication."""
         indication = StunMessage(StunMethod.SEND, StunClass.INDICATION, self.rand.bytes(12))
         indication.add(AttributeType.XOR_PEER_ADDRESS, encode_xor_address(peer, b"\x00" * 12))
         indication.add(AttributeType.DATA, payload)

@@ -1,5 +1,7 @@
 """Tests for the DTLS-shaped handshake and record layer."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,18 @@ from repro.util.errors import DtlsHandshakeError, DtlsRecordError
 from repro.util.rand import DeterministicRandom
 from repro.webrtc.certificates import Certificate
 from repro.webrtc.dtls import DtlsSession, is_dtls_datagram
+
+_HEADER = struct.Struct("!BHHQH")  # type, version, epoch, seq, length
+_MAC_LEN = 16
+
+
+def record_seq(wire: bytes) -> int:
+    return _HEADER.unpack(wire[: _HEADER.size])[3]
+
+
+def with_seq(wire: bytes, seq: int) -> bytes:
+    content_type, version, epoch, _, length = _HEADER.unpack(wire[: _HEADER.size])
+    return _HEADER.pack(content_type, version, epoch, seq, length) + wire[_HEADER.size :]
 
 
 class Pipe:
@@ -173,6 +187,91 @@ class TestRecords:
         assert got == []
         assert any(isinstance(e, DtlsRecordError) for e in errors)
         assert b.auth_failures == 1
+
+    def test_flipped_ciphertext_byte_rejected(self):
+        loop = EventLoop()
+        a, b, pipe = self._established_pair(loop)
+        got, errors = [], []
+        b.on_data = got.append
+        b.on_error = errors.append
+
+        def tamper(data):
+            raw = bytearray(data)
+            raw[_HEADER.size] ^= 0x01  # first ciphertext byte; the MAC is untouched
+            return bytes(raw)
+
+        pipe.a_to_b_hook = tamper
+        a.send_application(b"payload")
+        loop.run(1.0)
+        assert got == []
+        assert b.auth_failures == 1
+        assert any("MAC" in str(e) for e in errors)
+
+    def test_record_replayed_under_new_seq_rejected(self):
+        loop = EventLoop()
+        a, b, pipe = self._established_pair(loop)
+        wires, got = [], []
+        b.on_data = got.append
+        pipe.a_to_b_hook = lambda data: (wires.append(data), data)[1]
+        a.send_application(b"segment")
+        loop.run(1.0)
+        assert got == [b"segment"] and len(wires) == 1
+        b.handle_datagram(with_seq(wires[0], record_seq(wires[0]) + 1))
+        assert got == [b"segment"]
+        assert b.auth_failures == 1
+
+    def test_directions_seal_differently(self):
+        loop = EventLoop()
+        a, b, pipe = self._established_pair(loop)
+        a_wires, b_wires = [], []
+        pipe.a_to_b_hook = lambda data: (a_wires.append(data), data)[1]
+        pipe.b_to_a_hook = lambda data: (b_wires.append(data), data)[1]
+        plaintext = b"the same segment bytes both ways"
+        a.send_application(plaintext)
+        b.send_application(plaintext)
+        loop.run(1.0)
+        assert len(a_wires) == len(b_wires) == 1
+        a_body = a_wires[0][_HEADER.size : -_MAC_LEN]
+        b_body = b_wires[0][_HEADER.size : -_MAC_LEN]
+        assert len(a_body) == len(b_body) == len(plaintext)
+        assert a_body != b_body
+
+    def test_tables_round_trip_every_byte_value(self):
+        loop = EventLoop()
+        a, b, pipe = self._established_pair(loop)
+        every_byte = bytes(range(256))
+        wires, got_a, got_b = [], [], []
+        pipe.a_to_b_hook = lambda data: (wires.append(data), data)[1]
+        pipe.b_to_a_hook = lambda data: (wires.append(data), data)[1]
+        a.on_data = got_a.append
+        b.on_data = got_b.append
+        a.send_application(every_byte)
+        b.send_application(every_byte)
+        loop.run(1.0)
+        assert got_b == [every_byte] and got_a == [every_byte]
+        for wire in wires:
+            sealed = wire[_HEADER.size : -_MAC_LEN]
+            assert sealed != every_byte
+            assert sorted(sealed) == list(every_byte)  # a permutation of the byte values
+
+    def test_oversize_record_raises_and_burns_no_sequence_number(self):
+        loop = EventLoop()
+        a, b, pipe = self._established_pair(loop)
+        wires, got = [], []
+        b.on_data = got.append
+        pipe.a_to_b_hook = lambda data: (wires.append(data), data)[1]
+        a.send_application(b"before")
+        loop.run(1.0)
+        sent_before = a.records_sent
+        largest = 0xFFFF - _MAC_LEN  # the sealed record just fills the 16-bit length
+        with pytest.raises(DtlsRecordError, match="record limit"):
+            a.send_application(bytes(largest + 1))
+        assert a.records_sent == sent_before and len(wires) == 1
+        a.send_application(bytes(largest))
+        loop.run(1.0)
+        assert got == [b"before", bytes(largest)]
+        assert record_seq(wires[1]) == record_seq(wires[0]) + 1
+        assert a.records_sent == sent_before + 1
 
     def test_send_before_established_raises(self):
         loop = EventLoop()
