@@ -1,53 +1,40 @@
-"""Streaming detection benchmark: throughput and the memory bound.
+"""Streaming detection scenarios: throughput and the memory bound.
 
-Measures the sharded streaming scan (``StreamingDetectionPipeline``,
-confirm phase off) at the paper's 300K-domain corpus and at a 10×
-synthetic 3M-domain corpus, recording virtual domains/sec, materialised
-sites/sec, and peak RSS — the headline claim being that RSS stays flat
-as the corpus grows, because shards materialise one droppable site at a
-time and retain only potential scans. A full 300K run (confirm phase
-on) rides along to record end-to-end wall time and the report digest.
+Streams corpora through the sharded ``StreamingDetectionPipeline``
+(8 shards): the paper's 300K-domain corpus and a 10× synthetic
+3M-domain corpus with the confirm phase off, and the 300K corpus with
+it on. ``benchmarks/bench_paper_scale.py`` runs each scenario in a
+fresh child, so each peak RSS is the scenario's own::
 
-Results are written to ``benchmarks/results/BENCH_detection.json`` per
-the docs/PERFORMANCE.md recording policy. Run as a script (CI does)::
+    python benchmarks/bench_paper_scale.py scan_300k scan_3m full_300k --runs 9 \\
+        --tree parent=../parent-checkout --tree change=.
 
-    PYTHONPATH=src python benchmarks/bench_detection_stream.py --smoke \
-        --check benchmarks/results/BENCH_detection.json --no-write
+One child runs one scenario (``PYTHONPATH`` picks the ``repro`` it
+measures) and prints one JSON line: wall time, events, digest and peak
+RSS::
 
-Scenarios run smallest-first in one process, so the monotonic
-RUSAGE_SELF high-water mark is honest for each scenario, and the
-300K-vs-3M ratio (``rss_ratio``, policy: <= 1.5) compares like with
-like. The scan is fully seeded, so two runs do identical work.
+    PYTHONPATH=src python benchmarks/bench_detection_stream.py scan_3m
+
+The headline claim is that RSS stays flat as the corpus grows, because
+shards materialise one droppable site at a time and retain only
+potential scans. :func:`test_streaming_scan_rss_bounded` holds smoke
+stand-ins of the two corpora, run smallest-first in one process, to
+:data:`RSS_RATIO_LIMIT`. The scan is fully seeded, so two runs do
+identical work.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
 import sys
 
-if __name__ == "__main__":  # allow running without PYTHONPATH=src
-    _src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    if _src.is_dir() and str(_src) not in sys.path:
-        sys.path.insert(0, str(_src))
-
+from bench_paper_scale import scenario_main
 from repro.detection.streaming import StreamingDetectionPipeline
-from repro.util.perf import WallTimer, peak_rss_kb
+from repro.util.perf import peak_rss_kb
 from repro.web.corpus import CorpusConfig, quick_corpus_config
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-DEFAULT_OUT = RESULTS_DIR / "BENCH_detection.json"
 
 #: Peak-RSS growth allowed between the small and the 10× corpus.
 RSS_RATIO_LIMIT = 1.5
 SHARDS = 8
-
-
-def corpus_300k() -> CorpusConfig:
-    """The paper-scale corpus (defaults)."""
-    return CorpusConfig()
 
 
 def corpus_3m() -> CorpusConfig:
@@ -61,138 +48,34 @@ def corpus_3m() -> CorpusConfig:
     )
 
 
-def smoke_300k() -> CorpusConfig:
-    """Smoke stand-in for the small corpus."""
-    return quick_corpus_config()
-
-
 def smoke_3m() -> CorpusConfig:
     """Smoke stand-in for the 10× corpus."""
     return CorpusConfig(noise_video_sites=80, noise_nonvideo_sites=40, noise_apps=40)
 
 
-def bench_scan(name: str, config: CorpusConfig, confirm: bool = False) -> dict:
-    """Stream one corpus through the scan (and optionally confirm) phase."""
-    pipeline = StreamingDetectionPipeline(
+def bench_scan(config: CorpusConfig, confirm: bool = False) -> str:
+    """Stream one corpus through the scan (and optionally confirm) phase; its digest."""
+    outcome = StreamingDetectionPipeline(
         seed=2024, config=config, shards=SHARDS, confirm=confirm, watch_seconds=30.0
-    )
-    with WallTimer() as timer:
-        outcome = pipeline.run()
-    merged = outcome.merged
-    wall = timer.elapsed
-    return {
-        "scenario": name,
-        "confirm": confirm,
-        "shards": SHARDS,
-        "virtual_domains": config.virtual_total_domains,
-        "sites_materialised": merged.sites_generated,
-        "apps_materialised": merged.apps_generated,
-        "pages_fetched": merged.pages_fetched,
-        "wall_seconds": wall,
-        "domains_per_sec": config.virtual_total_domains / wall if wall else 0.0,
-        "sites_per_sec": merged.sites_generated / wall if wall else 0.0,
-        "peak_rss_kb": peak_rss_kb(),
-        "digest": outcome.report.content_digest() if confirm else merged.content_digest(),
-    }
+    ).run()
+    return outcome.report.content_digest() if confirm else outcome.merged.content_digest()
 
 
-def run_benchmarks(smoke: bool = False) -> dict:
-    """Run all scenarios smallest-first; derive the RSS-bound verdict."""
-    small = smoke_300k() if smoke else corpus_300k()
-    big = smoke_3m() if smoke else corpus_3m()
-    scenarios = {}
-    scenarios["scan_300k"] = bench_scan("scan_300k", small)
-    baseline_rss = scenarios["scan_300k"]["peak_rss_kb"]
-    scenarios["scan_3m"] = bench_scan("scan_3m", big)
-    big_rss = scenarios["scan_3m"]["peak_rss_kb"]
-    if not smoke:
-        scenarios["full_300k"] = bench_scan("full_300k", small, confirm=True)
-    ratio = big_rss / baseline_rss if baseline_rss else 0.0
-    return {
-        "mode": "smoke" if smoke else "full",
-        "python": platform.python_version(),
-        "rss_ratio": ratio,
-        "rss_ratio_limit": RSS_RATIO_LIMIT,
-        "rss_bounded": ratio <= RSS_RATIO_LIMIT,
-        "scenarios": scenarios,
-    }
-
-
-def compare(report: dict, baseline: dict, threshold: float = 0.30) -> list[str]:
-    """Regressions vs a baseline report, per the PERFORMANCE.md policy.
-
-    Always fails on a broken RSS bound in the fresh report. Scenario
-    throughput (>30% ``domains_per_sec`` drop, absorbing CI-runner
-    noise) and digests are compared only between same-mode runs — smoke
-    and full scan different corpora, so cross-mode numbers are not
-    comparable.
-    """
-    problems = []
-    if not report.get("rss_bounded", False):
-        problems.append(
-            f"peak RSS ratio {report.get('rss_ratio', 0):.2f} exceeds "
-            f"the {RSS_RATIO_LIMIT}x memory bound"
-        )
-    if report.get("mode") != baseline.get("mode"):
-        return problems
-    for name, scenario in report.get("scenarios", {}).items():
-        base = baseline.get("scenarios", {}).get(name)
-        if base is None:
-            continue
-        fresh, old = scenario.get("domains_per_sec", 0.0), base.get("domains_per_sec", 0.0)
-        if old and fresh < old * (1.0 - threshold):
-            problems.append(
-                f"{name}: domains/sec regressed {old:.0f} -> {fresh:.0f} "
-                f"(more than {threshold:.0%})"
-            )
-        if base.get("digest") and scenario.get("digest") != base["digest"]:
-            problems.append(f"{name}: scan digest drifted from the committed baseline")
-    return problems
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="scaled-down corpora (CI gate)")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
-                        help="where to write the JSON report")
-    parser.add_argument("--no-write", action="store_true",
-                        help="do not write the report file")
-    parser.add_argument("--check", type=pathlib.Path, default=None,
-                        help="baseline JSON to compare against; exit 1 on regression")
-    args = parser.parse_args(argv)
-    if args.smoke and not args.no_write and args.out == DEFAULT_OUT:
-        print("refusing to overwrite the committed full baseline with a smoke run; "
-              "add --no-write or point --out elsewhere")
-        return 2
-    report = run_benchmarks(smoke=args.smoke)
-    for name, scenario in report["scenarios"].items():
-        print(f"{name}: {scenario['domains_per_sec']:,.0f} virtual domains/sec, "
-              f"{scenario['sites_per_sec']:,.0f} sites/sec, "
-              f"peak RSS {scenario['peak_rss_kb']} kB")
-    print(f"RSS ratio (3M / 300K): {report['rss_ratio']:.3f} "
-          f"(limit {RSS_RATIO_LIMIT}, {'ok' if report['rss_bounded'] else 'EXCEEDED'})")
-    if not args.no_write:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        problems = compare(report, baseline)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}")
-            return 1
-        print(f"check against {args.check}: ok")
-    return 0 if report["rss_bounded"] else 1
+SCENARIOS = {
+    "scan_300k": lambda: bench_scan(CorpusConfig()),
+    "scan_3m": lambda: bench_scan(corpus_3m()),
+    "full_300k": lambda: bench_scan(CorpusConfig(), confirm=True),
+}
 
 
 def test_streaming_scan_rss_bounded():
-    """Pytest entry: the smoke corpora already demonstrate the bound."""
-    report = run_benchmarks(smoke=True)
-    assert report["rss_bounded"], f"rss ratio {report['rss_ratio']:.2f}"
+    """The 10× smoke corpus peaks within the bound of the small one's RSS."""
+    bench_scan(quick_corpus_config())
+    small = peak_rss_kb()
+    bench_scan(smoke_3m())
+    ratio = peak_rss_kb() / small
+    assert ratio <= RSS_RATIO_LIMIT, f"rss ratio {ratio:.2f}"
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(scenario_main(SCENARIOS, sys.argv[1:]))

@@ -48,10 +48,10 @@ def test_pipeline_scalability(benchmark, save_result):
     save_result(
         "scalability",
         render_table(
-            ["noise x", "sites", "apps", "confirmed/potential sites", "confirmed apps", "wall s"],
+            ["noise x", "sites", "apps", "confirmed/potential sites", "confirmed apps"],
             [[p["noise_x"], p["sites"], p["apps"],
               f'{p["confirmed_sites"]}/{p["potential_sites"]}',
-              p["confirmed_apps"], f'{p["wall_seconds"]:.2f}'] for p in points],
+              p["confirmed_apps"]] for p in points],
             title="Pipeline scalability under corpus noise",
         ),
     )

@@ -4,12 +4,11 @@ The seed shipped ``compiled()`` recompiling its regex on every
 ``matches()`` call — the hottest path in the whole detection pipeline
 (every signature × every page of every site, §III-C). The fix compiles
 once per distinct (kind, pattern) behind ``functools.lru_cache``. This
-benchmark times the scan hot path and archives a cached-vs-uncached
-comparison so the regression is visible if the cache is ever dropped;
-reprolint rule PERF001 guards the same bug statically.
+benchmark times the scan hot path and fails if cached calls are not
+several times faster than recompiling, so the regression is visible if
+the cache is ever dropped; reprolint rule PERF001 guards the same bug
+statically.
 """
-
-from conftest import run_once
 
 from repro.detection.signatures import (
     Signature,
@@ -18,7 +17,6 @@ from repro.detection.signatures import (
     provider_signatures,
 )
 from repro.util.perf import WallTimer
-from repro.util.tables import render_kv
 
 COMPILE_CALLS = 20_000
 
@@ -32,7 +30,7 @@ def _scan_pages(signatures: list[Signature], pages: list[str]) -> int:
     return hits
 
 
-def test_signature_match_hot_path(benchmark, save_result):
+def test_signature_match_hot_path(benchmark):
     signatures = provider_signatures()
     pages = [
         f'<script src="https://api.peer5.com/peer5.js?id={i:08x}"></script>'
@@ -41,7 +39,7 @@ def test_signature_match_hot_path(benchmark, save_result):
     hits = benchmark(_scan_pages, signatures, pages)
     assert hits == 200  # every page carries exactly one Peer5 URL signature
 
-    # One-shot cached vs uncached comparison, archived as the PERF001 note.
+    # One-shot cached vs uncached comparison, the PERF001 regression check.
     probe = Signature(SignatureKind.URL_PATTERN, "api.peer5.com/peer5.js?id=*", "peer5")
     probe.compiled()  # warm the cache
     with WallTimer() as cached:
@@ -51,15 +49,4 @@ def test_signature_match_hot_path(benchmark, save_result):
         for _ in range(COMPILE_CALLS):
             _compile_signature.__wrapped__(probe.kind, probe.pattern)
     speedup = uncached.elapsed / max(cached.elapsed, 1e-9)
-    save_result(
-        "signature_compile",
-        render_kv(
-            f"Signature.compiled() caching (PERF001), {COMPILE_CALLS} calls",
-            [
-                ("uncached (seed behaviour) s", uncached.elapsed),
-                ("cached (lru_cache) s", cached.elapsed),
-                ("speedup x", speedup),
-            ],
-        ),
-    )
     assert speedup > 3.0, "lru_cache on _compile_signature should dominate recompiling"

@@ -59,31 +59,7 @@ class WheelStats:
 
     def __init__(self) -> None:
         self.max_occupancy = 0
-        #: Keyed by the observed EventLoop, or by an opaque string for
-        #: wheel snapshots absorbed from shard worker processes
-        #: (:meth:`absorb_remote`) — both map to the same snapshot shape.
-        self._loops: dict[object, tuple[int, int, int]] = {}
-
-    def absorb_remote(self, key: str, wheel: dict) -> None:
-        """Fold one remote loop's wheel counters into the aggregate.
-
-        Shard worker processes (:mod:`repro.net.shard`) run their loops
-        in other address spaces, where no observer sees them; each
-        worker's final report carries its loop's ``wheel_stats()``
-        dict, which a caller registers here under a stable string key.
-        Counters sum with the locally observed loops, occupancy folds
-        into the max — so ``render_wheel_summary`` reports the whole
-        sharded run. ``occupancy`` in a shipped snapshot is the worker's
-        barrier-sampled peak.
-        """
-        occupancy = wheel.get("occupancy", 0)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
-        self._loops[key] = (
-            wheel.get("overflow", 0),
-            wheel.get("batched", 0),
-            wheel.get("batch_drains", 0),
-        )
+        self._loops: dict[EventLoop, tuple[int, int, int]] = {}
 
     def __call__(self, loop: EventLoop, entry: object) -> None:
         """Sample the wheel gauges of the loop about to fire ``entry``."""

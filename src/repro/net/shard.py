@@ -37,9 +37,8 @@ enforced here and spelled out in ``docs/SHARDING.md``:
    ``host_is_down``/``conditions_for`` answers match at any K.
 3. **The digest is composed of K-invariant quantities only**: global
    datagram totals, drops by reason, per-region delivery aggregates and
-   a commutative per-host checksum. Window counts, worker counts, wheel
-   counters and per-shard event counts are diagnostics, never digest
-   inputs.
+   a commutative per-host checksum. Window counts, worker counts and
+   per-shard event counts are diagnostics, never digest inputs.
 
 ``run_workload`` is the entry point. One barrier loop drives every
 shard, and one command handler serves each :class:`ShardWorker`, in a
@@ -379,7 +378,6 @@ class ShardWorker:
         self.program = _shard_program(workload, shard_id, num_shards)
         #: Index of the first program row not yet sent.
         self._next_send = 0
-        self.peak_occupancy = 0
 
     @property
     def pending(self) -> int:
@@ -401,9 +399,6 @@ class ShardWorker:
         ``docs/SHARDING.md`` explains why this keeps every digest.
         """
         loop = self.loop
-        occupancy = loop.wheel_occupancy
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
         times = self.program.when
         faults = self.faults
         if faults is not None:
@@ -471,13 +466,6 @@ class ShardWorker:
 
     def final_report(self) -> dict:
         """Stats plus per-shard diagnostics (K-dependent, digest-exempt)."""
-        occupancy = self.loop.wheel_occupancy
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
-        wheel = self.loop.wheel_stats()
-        # Occupancy is a gauge; report the barrier-sampled peak, not the
-        # (empty) end-of-run value.
-        wheel["occupancy"] = self.peak_occupancy
         return {
             "shard": self.shard_id,
             "hosts": len(self.net._local_index),
@@ -486,7 +474,6 @@ class ShardWorker:
             "remote_injected": self.net.remote_injected,
             "events_fired": self.loop.events_fired,
             "fault_events_applied": self.faults.events_applied if self.faults else 0,
-            "wheel": wheel,
             "peak_rss_kb": peak_rss_kb(),
         }
 

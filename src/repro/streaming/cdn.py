@@ -43,7 +43,11 @@ class LiveChannel:
         return first, produced
 
     def segment_for(self, index: int) -> bytes | None:
-        """Segment for."""
+        """The body of live segment ``index``, or None if there is none.
+
+        A looping channel cycles through its source segments, so any
+        index has a body.
+        """
         total = len(self.video.segments)
         if total == 0:
             return None
@@ -53,7 +57,7 @@ class LiveChannel:
         return seg.data if seg else None
 
     def playlist(self, now: float) -> str:
-        """Playlist."""
+        """The live media playlist for the window available at ``now``."""
         first, end = self.available_range(now)
         if self.loop_forever:
             # Render the window by cycling through the source segments.
@@ -84,7 +88,7 @@ class OriginServer:
         self.bytes_served = 0
 
     def add_vod(self, video: VideoSource) -> None:
-        """Add vod."""
+        """Publish ``video`` under ``/vod/<video_id>/``."""
         self._vod[video.video_id] = video
 
     def add_extra_file(self, video_id: str, filename: str, body: bytes) -> None:
@@ -103,13 +107,13 @@ class OriginServer:
         self.add_extra_file(video_id, "master.m3u8", generate_master_playlist(variants).encode())
 
     def add_live(self, channel_id: str, video: VideoSource, window: int = 5) -> LiveChannel:
-        """Add live."""
+        """Start a live channel from ``video`` now, with a ``window``-segment playlist."""
         channel = LiveChannel(video, window=window, started_at=self.loop.now)
         self._live[channel_id] = channel
         return channel
 
     def vod(self, video_id: str) -> VideoSource | None:
-        """Vod."""
+        """The VOD published as ``video_id``, or None."""
         return self._vod.get(video_id)
 
     def handle_request(self, request: HttpRequest) -> HttpResponse:
@@ -227,15 +231,15 @@ class CdnEdge:
         return self.bytes_served / 1e9 * self.price_per_gb
 
     def purge(self) -> None:
-        """Purge."""
+        """Drop every cached body, so the next request for each goes to the origin."""
         self._cache.clear()
 
 
 def vod_playlist_url(cdn_host: str, video_id: str) -> str:
-    """Vod playlist url."""
+    """The URL of ``video_id``'s VOD playlist on ``cdn_host``."""
     return f"https://{cdn_host}/vod/{video_id}/playlist.m3u8"
 
 
 def live_playlist_url(cdn_host: str, channel_id: str) -> str:
-    """Live playlist url."""
+    """The URL of ``channel_id``'s live playlist on ``cdn_host``."""
     return f"https://{cdn_host}/live/{channel_id}/playlist.m3u8"

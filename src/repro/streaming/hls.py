@@ -39,7 +39,7 @@ class MasterPlaylist:
     variants: list[VariantEntry] = field(default_factory=list)
 
     def lowest(self) -> VariantEntry:
-        """Lowest."""
+        """The rendition with the least bandwidth: the fallback when none is affordable."""
         return min(self.variants, key=lambda v: v.bandwidth)
 
     def best_for(self, bits_per_second: float) -> VariantEntry:
@@ -89,7 +89,7 @@ def parse_master_playlist(text: str) -> MasterPlaylist:
 
 
 def is_master_playlist(text: str) -> bool:
-    """Is master playlist."""
+    """True if ``text`` lists renditions (``#EXT-X-STREAM-INF``) rather than segments."""
     return "#EXT-X-STREAM-INF:" in text
 
 
@@ -105,7 +105,7 @@ class MediaPlaylist:
 
     @property
     def is_live(self) -> bool:
-        """Is live."""
+        """True while the playlist has no ``#EXT-X-ENDLIST``, so it may still grow."""
         return not self.endlist
 
     def segment_indices(self) -> list[int]:

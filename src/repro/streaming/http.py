@@ -52,16 +52,16 @@ class HttpRequest:
 
     @property
     def host(self) -> str:
-        """Host."""
+        """The host name the URL targets, as name resolution sees it."""
         return parse_url(self.url)[1]
 
     @property
     def path(self) -> str:
-        """Path."""
+        """The URL's path and query, ``/`` when the URL names only a host."""
         return parse_url(self.url)[2]
 
     def header(self, name: str, default: str | None = None) -> str | None:
-        """Header."""
+        """The value of header ``name``, matched case-insensitively, else ``default``."""
         for key, value in self.headers.items():
             if key.lower() == name.lower():
                 return value
@@ -70,18 +70,19 @@ class HttpRequest:
 
 @dataclass
 class HttpResponse:
-    """HttpResponse."""
+    """One HTTP response: status code, body bytes and headers."""
+
     status: int
     body: bytes = b""
     headers: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        """Ok."""
+        """True for a 2xx status."""
         return 200 <= self.status < 300
 
     def raise_for_status(self) -> "HttpResponse":
-        """Raise for status."""
+        """Return this response if it is 2xx; raise :class:`HttpError` otherwise."""
         if not self.ok:
             raise HttpError(self.status, f"HTTP {self.status} for response")
         return self
@@ -110,15 +111,15 @@ class UrlSpace:
         self._interceptors.append(interceptor)
 
     def register(self, hostname: str, server: HttpServer) -> None:
-        """Register."""
+        """Serve ``hostname`` (case-insensitive) by ``server``, replacing any earlier one."""
         self._servers[hostname.lower()] = server
 
     def unregister(self, hostname: str) -> None:
-        """Unregister."""
+        """Stop serving ``hostname``; a name that was never registered is ignored."""
         self._servers.pop(hostname.lower(), None)
 
     def resolve(self, hostname: str) -> HttpServer | None:
-        """Resolve."""
+        """The server registered for ``hostname``, or None if the name is unknown."""
         return self._servers.get(hostname.lower())
 
     def dispatch(self, request: HttpRequest) -> HttpResponse:
@@ -156,7 +157,11 @@ class HttpClient:
         headers: dict[str, str] | None = None,
         body: bytes = b"",
     ) -> HttpResponse:
-        """Request."""
+        """Send one request as this client and account its bytes both ways.
+
+        The proxy, when set, sees the request before name resolution.
+        An unknown host yields a 502 response rather than an error.
+        """
         request = HttpRequest(method, url, dict(headers or {}), body, self.client_ip)
         self.requests_made += 1
         self.bytes_uploaded += len(body)
@@ -168,9 +173,9 @@ class HttpClient:
         return response
 
     def get(self, url: str, headers: dict[str, str] | None = None) -> HttpResponse:
-        """Get."""
+        """Send a GET for ``url``."""
         return self.request("GET", url, headers)
 
     def post(self, url: str, body: bytes, headers: dict[str, str] | None = None) -> HttpResponse:
-        """Post."""
+        """Send a POST of ``body`` to ``url``."""
         return self.request("POST", url, headers, body)

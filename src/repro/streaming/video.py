@@ -23,17 +23,17 @@ class VideoSegment:
 
     @property
     def size(self) -> int:
-        """Size."""
+        """The segment's payload length in bytes."""
         return len(self.data)
 
     @property
     def digest(self) -> str:
-        """Digest."""
+        """Hex SHA-256 of the payload: what a hash-checking defense compares."""
         return hashlib.sha256(self.data).hexdigest()
 
     @property
     def filename(self) -> str:
-        """Filename."""
+        """The segment's name in a playlist and its URL: ``seg-<index>.ts``."""
         return f"seg-{self.index}.ts"
 
 
@@ -64,22 +64,22 @@ class VideoSource:
 
     @property
     def total_bytes(self) -> int:
-        """Total bytes."""
+        """Payload bytes over every segment."""
         return sum(s.size for s in self.segments)
 
     @property
     def duration(self) -> float:
-        """Duration."""
+        """Seconds of media over every segment."""
         return sum(s.duration for s in self.segments)
 
     def segment(self, index: int) -> VideoSegment | None:
-        """Segment."""
+        """Segment ``index``, or None outside the video."""
         if 0 <= index < len(self.segments):
             return self.segments[index]
         return None
 
     def authentic_digest(self, index: int) -> str | None:
-        """Authentic digest."""
+        """The digest segment ``index`` must have if unpolluted; None outside the video."""
         seg = self.segment(index)
         return seg.digest if seg else None
 

@@ -71,6 +71,18 @@ def _decode_record(data: bytes) -> tuple[int, int, int, bytes]:
     return content_type, epoch, seq, payload
 
 
+def _parse_flight(payload: bytes) -> list[dict] | None:
+    """The handshake messages a record carries, or None if it holds no flight."""
+    try:
+        body = json.loads(payload.decode())
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    flight = body.get("flight") if isinstance(body, dict) else None
+    if not isinstance(flight, list) or not all(isinstance(m, dict) for m in flight):
+        return None
+    return flight
+
+
 def _substitution(key: bytes) -> bytes:
     """A byte permutation drawn from ``key``: the ``bytes.translate`` table."""
     return bytes(sorted(range(256), key=hashlib.shake_256(key).digest(256).__getitem__))
@@ -228,31 +240,40 @@ class DtlsSession:
     def handle_datagram(self, data: bytes) -> None:
         """Process one inbound datagram: a handshake flight or an application record.
 
-        A datagram that does not parse as a record fails the session; an
-        application record that fails its MAC is counted in
-        ``auth_failures``, reported to ``on_error`` and dropped.
+        As in DTLS (RFC 6347 §4.1.2.7), an invalid record is discarded:
+        one that does not parse, a handshake record that carries no
+        flight, or an application record too short for its MAC or
+        failing it is counted in ``auth_failures``, reported to
+        ``on_error`` and dropped, and the session stays up. Only a
+        fingerprint mismatch, a bad Finished MAC or a handshake timeout
+        fail the session.
         """
         if self.failed:
             return
         try:
             content_type, epoch, seq, payload = _decode_record(data)
         except DtlsRecordError as exc:
-            self._fail(exc)
+            self._drop(exc)
             return
         self.records_received += 1
         if content_type == CONTENT_HANDSHAKE and epoch == 0:
-            try:
-                body = json.loads(payload.decode())
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._fail(DtlsHandshakeError(f"bad handshake payload: {exc}"))
+            flight = _parse_flight(payload)
+            if flight is None:
+                self._drop(DtlsRecordError("handshake record carries no flight"))
                 return
             try:
-                for message in body.get("flight", []):
+                for message in flight:
                     self._handle_handshake(message)
             except DtlsHandshakeError as exc:
                 self._fail(exc)
         elif content_type == CONTENT_APPDATA and epoch == 1:
             self._handle_appdata(seq, payload)
+
+    def _drop(self, error: DtlsRecordError) -> None:
+        """Discard one invalid record: count it and report it, nothing more."""
+        self.auth_failures += 1
+        if self.on_error is not None:
+            self.on_error(error)
 
     def _handle_handshake(self, message: dict) -> None:
         kind = message.get("msg")
@@ -340,13 +361,11 @@ class DtlsSession:
         if not self.established or self._open_table is None:
             return  # app data racing the final flight; sender will retransmit
         if len(payload) < _MAC_LEN:
-            self._fail(DtlsRecordError("application record too short"))
+            self._drop(DtlsRecordError("application record too short"))
             return
         ciphertext, mac = payload[:-_MAC_LEN], payload[-_MAC_LEN:]
         if not hmac.compare_digest(mac, _record_mac(self._read_key, seq, ciphertext)):
-            self.auth_failures += 1
-            if self.on_error is not None:
-                self.on_error(DtlsRecordError("record MAC verification failed"))
+            self._drop(DtlsRecordError("record MAC verification failed"))
             return
         if self.on_data is not None:
             self.on_data(ciphertext.translate(self._open_table))

@@ -19,7 +19,7 @@ from array import array
 
 import pytest
 
-from repro.harness.profile import WheelStats, capture_events
+from repro.harness.profile import capture_events
 from repro.net import shard as shard_module
 from repro.net.faults import FaultPlan, HostCrash
 from repro.net.network import Host, RemoteHostRef, ShardNetwork
@@ -345,34 +345,6 @@ class TestWorkerFailures:
 
 class TestShardStats:
     """Per-shard diagnostics and their cross-shard aggregation."""
-
-    def test_wheel_stats_absorb_remote(self):
-        stats = WheelStats()
-        stats.absorb_remote("shard:0", {"overflow": 2, "batched": 8,
-                                        "batch_drains": 4, "occupancy": 5})
-        stats.absorb_remote("shard:1", {"overflow": 1, "batched": 3,
-                                        "batch_drains": 2, "occupancy": 9})
-        assert stats.overflow == 3
-        assert stats.batched == 11
-        assert stats.batch_drains == 6
-        assert stats.max_occupancy == 9
-        # Re-absorbing a key replaces its snapshot (no double count).
-        stats.absorb_remote("shard:0", {"overflow": 2, "batched": 9,
-                                        "batch_drains": 4, "occupancy": 5})
-        assert stats.batched == 12
-
-    def test_wheel_stats_fold_a_runs_per_shard_snapshots(self):
-        # A half-second horizon packs each shard's loop past the depth
-        # gate, so the folded counters are not trivially zero.
-        report = run_at(2, horizon=0.5, datagrams=10_000)
-        stats = WheelStats()
-        for shard in report.per_shard:
-            stats.absorb_remote(f"shard:{shard['shard']}", shard["wheel"])
-        wheels = [shard["wheel"] for shard in report.per_shard]
-        assert stats.batched == sum(wheel["batched"] for wheel in wheels) > 0
-        assert stats.overflow == sum(wheel["overflow"] for wheel in wheels)
-        assert stats.batch_drains == sum(wheel["batch_drains"] for wheel in wheels) > 0
-        assert stats.max_occupancy == max(wheel["occupancy"] for wheel in wheels) > 0
 
     def test_egress_matches_injection_globally(self):
         report = run_at(4, locality=0.5)

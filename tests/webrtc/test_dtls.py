@@ -93,7 +93,7 @@ class TestHandshake:
         a.on_error = errors.append
         a.start()
         loop.run(5.0)
-        assert not a.established
+        assert not a.established and a.failed
         assert any(isinstance(e, DtlsHandshakeError) for e in errors)
         assert a.auth_failures == 1
 
@@ -272,6 +272,30 @@ class TestRecords:
         assert got == [b"before", bytes(largest)]
         assert record_seq(wires[1]) == record_seq(wires[0]) + 1
         assert a.records_sent == sent_before + 1
+
+    @pytest.mark.parametrize("datagram", [
+        pytest.param(_HEADER.pack(23, 0xFEFD, 1, 7, 3) + b"abc", id="appdata-shorter-than-mac"),
+        pytest.param(_HEADER.pack(23, 0xFEFD, 1, 7, 40) + bytes(20), id="length-mismatch"),
+        pytest.param(b"\x17\xfe\xfd\x00", id="shorter-than-header"),
+        pytest.param(_HEADER.pack(23, 0xFEFF, 1, 7, 20) + bytes(20), id="bad-version"),
+        pytest.param(_HEADER.pack(22, 0xFEFD, 0, 7, 3) + b"\xff\x00{", id="handshake-not-json"),
+        pytest.param(_HEADER.pack(22, 0xFEFD, 0, 7, 18) + b'{"flight": "nope"}',
+                     id="handshake-not-a-flight"),
+        pytest.param(_HEADER.pack(22, 0xFEFD, 0, 7, 3) + b"[1]", id="handshake-not-an-object"),
+    ])
+    def test_invalid_record_is_dropped_and_the_session_stays_up(self, datagram):
+        loop = EventLoop()
+        a, b, _ = self._established_pair(loop)
+        got, errors = [], []
+        b.on_data = got.append
+        b.on_error = errors.append
+        b.handle_datagram(datagram)
+        assert not b.failed and b.established
+        assert b.auth_failures == 1
+        assert len(errors) == 1 and isinstance(errors[0], DtlsRecordError)
+        a.send_application(b"after")
+        loop.run(1.0)
+        assert got == [b"after"]
 
     def test_send_before_established_raises(self):
         loop = EventLoop()
